@@ -28,10 +28,10 @@ from .evolution import (EvolveOptions, EvolutionState, Trajectory,
                         lyapunov_experiment, perturb_mass_at_zero,
                         perturb_scale, recriticalize, solve,
                         stability_experiment, step, write_trajectory)
-from .mfffa import (FireGraph, SimRecord, burn_rate_estimate, cluster_sizes,
-                    empirical_age_measure, run, sample_irg, strike,
-                    tail_phi_estimate, tail_phi_spread, tail_phi_values,
-                    write_sim_outputs)
+from .mfffa import (FireGraph, SimRecord, add_edge, burn_rate_estimate,
+                    cluster_sizes, empirical_age_measure, run, sample_irg,
+                    strike, tail_phi_estimate, tail_phi_spread,
+                    tail_phi_values, write_sim_outputs)
 
 __version__ = "0.1.0"
 

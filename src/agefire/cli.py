@@ -117,17 +117,21 @@ def cmd_simulate(args) -> int:
     config.setdefault("lightning", "auto")
     config.setdefault("t_max", 3.0)
     config.setdefault("seeds", 1)
+    n = int(config["n"])
+    if n < 1:
+        raise InputError("n must be >= 1")
+    seeds = config["seeds"]
+    seed_list = list(range(int(seeds))) if not isinstance(seeds, (list, tuple)) \
+        else [int(s) for s in seeds]
+    if not seed_list:
+        raise InputError("seeds must be >= 1 or a non-empty list")
     out = _require_out(config)
     mfffa.write_config(config, out)
-    n = int(config["n"])
     lightning = config["lightning"]
     lambda_n = n ** -0.5 if lightning in ("auto", None) else float(lightning)
     t_max = float(config["t_max"])
     cps = _parse_checkpoints(config.get("checkpoints"), t_max) \
         or list(np.linspace(0.0, t_max, 7)[1:])
-    seeds = config["seeds"]
-    seed_list = list(range(int(seeds))) if not isinstance(seeds, (list, tuple)) \
-        else [int(s) for s in seeds]
 
     init = config["init"]
     all_records = []

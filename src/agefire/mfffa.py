@@ -9,6 +9,12 @@ connected component and resets the age of each of its vertices to zero;
 ages otherwise grow at unit speed.  Under this normalization a monodisperse
 start (all ages 0, no edges) reaches the critical edge density at time 1.
 
+Every output (ages, cluster histogram, burn counters) depends on the graph
+only through its connected components, and an edge inside a component
+never changes them, so the state is the component partition alone: a
+union-find with member lists (Tarjan, J. ACM 22, 1975) in place of the
+edge set.  A strike turns its component back into singletons.
+
 The initial graph may be sampled as an age-driven inhomogeneous random
 graph: conditional on the ages, each pair (v, w) is connected independently
 with probability 1 - exp(-min(a(v), a(w)) / n), the family of laws that the
@@ -34,17 +40,21 @@ import numpy as np
 from .errors import InputError
 from .measures import ProbabilityAgeMeasure
 
-#: full edge-count recount cadence (events); cheap desk-scale bookkeeping audit
-RECOUNT_EVERY = 10_000
-
 
 @dataclass(eq=False)
 class FireGraph:
-    """Mutable simulation state; one instance per run, never shared."""
+    """Mutable simulation state; one instance per run, never shared.
+
+    ``root[v]`` labels the component of v, and ``members[r]`` lists the
+    vertices of the component labelled r (empty when r is no label).  A
+    label is always a member of its own component.  ``edge_count`` is the
+    number of edges :func:`sample_irg` drew; it is not updated afterwards.
+    """
 
     n: int
     last_burn: np.ndarray        # age of v at time t is t - last_burn[v]
-    adjacency: list[set[int]]
+    root: list[int]
+    members: list[list[int]]
     edge_count: int
     t: float
     rng: np.random.Generator
@@ -77,16 +87,17 @@ def sample_irg(ages, n: int | None = None, seed=None,
         raise InputError("need at least one vertex")
     if ages_arr.size != n:
         raise InputError(f"got {ages_arr.size} ages for n = {n}")
-    if (ages_arr < 0).any():
-        raise InputError("ages must be >= 0")
+    if not (np.isfinite(ages_arr) & (ages_arr >= 0)).all():
+        raise InputError("ages must be finite and >= 0")
     if method == "auto":
         method = "dense" if n <= 30_000 else "sorted"
     if method not in ("dense", "sorted"):
         raise InputError(f"unknown sampling method {method!r}")
 
     rng = np.random.default_rng(seed)
-    adjacency: list[set[int]] = [set() for _ in range(n)]
-    edge_count = 0
+    graph = FireGraph(n=n, last_burn=-ages_arr, root=list(range(n)),
+                      members=[[v] for v in range(n)], edge_count=0, t=0.0,
+                      rng=rng)
     if method == "dense":
         for i in range(n - 1):
             if ages_arr[i] == 0.0:
@@ -94,10 +105,8 @@ def sample_irg(ages, n: int | None = None, seed=None,
             p = -np.expm1(-np.minimum(ages_arr[i], ages_arr[i + 1:]) / n)
             hits = np.flatnonzero(rng.random(n - 1 - i) < p)
             for off in hits:
-                j = i + 1 + int(off)
-                adjacency[i].add(j)
-                adjacency[j].add(i)
-            edge_count += hits.size
+                add_edge(graph, i, i + 1 + int(off))
+            graph.edge_count += hits.size
     else:
         order = np.argsort(ages_arr, kind="stable")
         sorted_ages = ages_arr[order]
@@ -112,37 +121,35 @@ def sample_irg(ages, n: int | None = None, seed=None,
                 picked.add(int(rng.integers(i + 1, n)))
             vi = int(order[i])
             for k in picked:
-                vj = int(order[k])
-                adjacency[vi].add(vj)
-                adjacency[vj].add(vi)
-            edge_count += deg
-    return FireGraph(n=n, last_burn=-ages_arr.copy(), adjacency=adjacency,
-                     edge_count=edge_count, t=0.0, rng=rng)
+                add_edge(graph, vi, int(order[k]))
+            graph.edge_count += deg
+    return graph
 
 
-def _component_of(adjacency: list[set[int]], v: int) -> list[int]:
-    seen = {v}
-    stack = [v]
-    out = [v]
-    while stack:
-        u = stack.pop()
-        for z in adjacency[u]:
-            if z not in seen:
-                seen.add(z)
-                stack.append(z)
-                out.append(z)
-    return out
+def add_edge(graph: FireGraph, i: int, j: int) -> None:
+    """Join the components of i and j.  Union by size: the smaller member
+    list is relabelled, so a root lookup is one list index."""
+    root, members = graph.root, graph.members
+    a, b = root[i], root[j]
+    if a == b:
+        return
+    if len(members[a]) < len(members[b]):
+        a, b = b, a
+    for u in members[b]:
+        root[u] = a
+    members[a].extend(members[b])
+    members[b] = []
 
 
 def strike(graph: FireGraph, v: int) -> int:
-    """Burn the component of v at the current time: delete all of its
-    internal edges and reset its vertices' ages.  Returns the component size."""
-    comp = _component_of(graph.adjacency, v)
-    internal = sum(len(graph.adjacency[u]) for u in comp) // 2
+    """Burn the component of v at the current time: its vertices become
+    singletons (all its edges are gone) and their ages reset to zero.
+    Returns the component size."""
+    comp = graph.members[graph.root[v]]
+    graph.last_burn[comp] = graph.t
     for u in comp:
-        graph.adjacency[u].clear()
-        graph.last_burn[u] = graph.t
-    graph.edge_count -= internal
+        graph.root[u] = u
+        graph.members[u] = [u]
     return len(comp)
 
 
@@ -153,24 +160,10 @@ def empirical_age_measure(graph: FireGraph) -> ProbabilityAgeMeasure:
 
 
 def cluster_sizes(graph: FireGraph) -> dict[int, int]:
-    """Histogram {component size: number of components} by graph search."""
-    seen = np.zeros(graph.n, dtype=bool)
-    hist: dict[int, int] = {}
-    for v in range(graph.n):
-        if seen[v]:
-            continue
-        seen[v] = True
-        size = 1
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for z in graph.adjacency[u]:
-                if not seen[z]:
-                    seen[z] = True
-                    size += 1
-                    stack.append(z)
-        hist[size] = hist.get(size, 0) + 1
-    return hist
+    """Histogram {component size: number of components}."""
+    sizes = np.bincount(graph.root)
+    sizes, counts = np.unique(sizes[sizes > 0], return_counts=True)
+    return dict(zip(sizes.tolist(), counts.tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,10 +194,12 @@ def run(graph: FireGraph, lambda_n: float, t_max: float,
     Mutates ``graph`` in place.  With ``seed`` given, the generator is
     reseeded so that (seed, config) determines the run bit for bit.
     """
-    if lambda_n < 0:
-        raise InputError("lambda_n must be >= 0")
+    if not (math.isfinite(lambda_n) and lambda_n >= 0):
+        raise InputError("lambda_n must be finite and >= 0")
+    if not math.isfinite(t_max):
+        raise InputError("t_max must be finite")
     cps = sorted(float(c) for c in checkpoints)
-    if cps and (cps[0] < graph.t or cps[-1] > t_max + 1e-12):
+    if not all(graph.t <= c <= t_max + 1e-12 for c in cps):
         raise InputError("checkpoints must lie within (current time, t_max]")
     if seed is not None:
         graph.rng = np.random.default_rng(seed)
@@ -231,7 +226,6 @@ def run(graph: FireGraph, lambda_n: float, t_max: float,
     prev_cp_t = graph.t
     prev_cp_burned = 0
     next_cp = 0
-    events = 0
 
     def emit(cp_t: float):
         nonlocal prev_cp_t, prev_cp_burned
@@ -254,25 +248,15 @@ def run(graph: FireGraph, lambda_n: float, t_max: float,
         if t_next > t_max:
             break
         graph.t = t_next
-        events += 1
         if rng.random() < p_edge:
             i = int(rng.integers(n))
             j = int(rng.integers(n))
             while j == i:
                 j = int(rng.integers(n))
-            if j not in graph.adjacency[i]:
-                graph.adjacency[i].add(j)
-                graph.adjacency[j].add(i)
-                graph.edge_count += 1
+            add_edge(graph, i, j)
         else:
             burn_events += 1
             burned_vertices += strike(graph, int(rng.integers(n)))
-        if events % RECOUNT_EVERY == 0:
-            recount = sum(len(s) for s in graph.adjacency) // 2
-            if recount != graph.edge_count:
-                raise RuntimeError(
-                    f"edge bookkeeping drifted: counter {graph.edge_count}, "
-                    f"recount {recount}")
     graph.t = t_max
     return records
 

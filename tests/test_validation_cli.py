@@ -165,6 +165,26 @@ def test_cli_simulate_rejects_multiatom_deterministic_init(tmp_path):
                  "--seeds", "1", "--out", str(tmp_path / "s")]) == 2
 
 
+@pytest.mark.parametrize("flags, config", [
+    (["--n", "0"], None),
+    (["--n", "-5"], None),
+    (["--seeds", "0"], None),
+    ([], {"seeds": []}),
+    (["--lightning", "nan"], None),
+    (["--lightning", "inf"], None),
+    (["--t-max", "nan"], None),
+])
+def test_cli_simulate_rejects_bad_input(tmp_path, capsys, flags, config):
+    args = ["simulate", "--n", "50", "--t-max", "0.1", "--checkpoints", "0.1",
+            "--out", str(tmp_path / "s")]
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        args += ["--config", str(tmp_path / "cfg.json")]
+    assert main([*args, *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and err.count("\n") == 1
+
+
 def test_cli_compare_trajectory_with_itself(tmp_path):
     traj_dir = tmp_path / "traj"
     main(["solve", "--init", "fixedpoint:200,40", "--t-max", "0.2",
