@@ -55,26 +55,42 @@ def _load_config(command: str, args: argparse.Namespace) -> dict:
     return config
 
 
+def _as(kind: type, value, key: str):
+    """``value`` converted to ``kind`` (a str must already be one); a value
+    that does not convert is an InputError naming its config key."""
+    try:
+        if kind is str and not isinstance(value, str):
+            raise TypeError
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InputError(
+            f"{key}: expected {kind.__name__}, got {value!r}") from None
+
+
 def _parse_checkpoints(raw, t_max: float) -> list[float] | None:
     if raw is None:
         return None
     if isinstance(raw, str):
-        vals = [float(v) for v in raw.split(",") if v.strip()]
-    else:
-        vals = [float(v) for v in raw]
+        raw = [v for v in raw.split(",") if v.strip()]
+    elif not isinstance(raw, (list, tuple)):
+        raise InputError(f"checkpoints: expected a list, got {raw!r}")
+    vals = [_as(float, v, "checkpoints") for v in raw]
     if any(v < 0 or v > t_max + 1e-12 for v in vals):
         raise InputError("checkpoints must lie in [0, t_max]")
     return vals
 
 
 def _init_measure(preset: str) -> ms.ProbabilityAgeMeasure:
-    return ms.from_named(preset)
+    try:
+        return ms.from_named(preset)
+    except InputError as exc:
+        raise InputError(f"init: {exc}") from None
 
 
 def _require_out(config: dict) -> Path:
     if not config.get("out"):
         raise InputError("--out <dir> is required for file-emitting commands")
-    out = Path(config["out"])
+    out = Path(_as(str, config["out"], "out"))
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -88,17 +104,19 @@ def cmd_solve(args) -> int:
     config.setdefault("dt", 1e-3)
     config.setdefault("merge_eps", 1e-6)
     config.setdefault("lambda_drift_budget", 1e-3)
+    init = _as(str, config["init"], "init")
+    t_max = _as(float, config["t_max"], "t_max")
+    opts = ev.EvolveOptions(
+        dt=_as(float, config["dt"], "dt"),
+        checkpoints=_parse_checkpoints(config.get("checkpoints"), t_max),
+        merge_eps=_as(float, config["merge_eps"], "merge_eps"),
+        lambda_drift_budget=_as(float, config["lambda_drift_budget"],
+                                "lambda_drift_budget"))
     out = _require_out(config)
     mfffa.write_config(config, out)
-    pi0 = _init_measure(config["init"])
-    t_max = float(config["t_max"])
-    opts = ev.EvolveOptions(
-        dt=float(config["dt"]),
-        checkpoints=_parse_checkpoints(config.get("checkpoints"), t_max),
-        merge_eps=float(config["merge_eps"]),
-        lambda_drift_budget=float(config["lambda_drift_budget"]))
+    pi0 = _init_measure(init)
     traj = ev.solve(pi0, t_max, opts)
-    reference = pi0 if config["init"].startswith(("fixedpoint", "fixed_point")) \
+    reference = pi0 if init.startswith(("fixedpoint", "fixed_point")) \
         else ms.fixed_point_measure()
     ev.write_trajectory(traj, out, reference=reference)
     drift = max(s.lambda_drift for s in traj.states if s.mode == "critical") \
@@ -117,32 +135,34 @@ def cmd_simulate(args) -> int:
     config.setdefault("lightning", "auto")
     config.setdefault("t_max", 3.0)
     config.setdefault("seeds", 1)
-    n = int(config["n"])
+    n = _as(int, config["n"], "n")
     if n < 1:
         raise InputError("n must be >= 1")
     seeds = config["seeds"]
-    seed_list = list(range(int(seeds))) if not isinstance(seeds, (list, tuple)) \
-        else [int(s) for s in seeds]
+    seed_list = list(range(_as(int, seeds, "seeds"))) \
+        if not isinstance(seeds, (list, tuple)) \
+        else [_as(int, s, "seeds") for s in seeds]
     if not seed_list:
         raise InputError("seeds must be >= 1 or a non-empty list")
-    out = _require_out(config)
-    mfffa.write_config(config, out)
     lightning = config["lightning"]
-    lambda_n = n ** -0.5 if lightning in ("auto", None) else float(lightning)
-    t_max = float(config["t_max"])
+    lambda_n = n ** -0.5 if lightning in ("auto", None) \
+        else _as(float, lightning, "lightning")
+    t_max = _as(float, config["t_max"], "t_max")
     cps = _parse_checkpoints(config.get("checkpoints"), t_max) \
         or list(np.linspace(0.0, t_max, 7)[1:])
+    init = _as(str, config["init"], "init")
+    out = _require_out(config)
+    mfffa.write_config(config, out)
 
-    init = config["init"]
     all_records = []
     for seed in seed_list:
         if init.startswith("iid:"):
-            base = ms.from_named(init[4:])
+            base = _init_measure(init[4:])
             rng = np.random.default_rng(seed)
             ages = rng.choice(base.locations, size=n, p=base.masses)
             graph = mfffa.sample_irg(ages, seed=seed)
         else:
-            base = ms.from_named(init)
+            base = _init_measure(init)
             if base.n_atoms != 1:
                 raise InputError(
                     "deterministic init must be a single atom; "
@@ -180,8 +200,8 @@ def cmd_compare(args) -> int:
         raise InputError("compare needs --traj-dir and --sim-dir")
     out = _require_out(config)
     mfffa.write_config(config, out)
-    traj_dir = Path(config["traj_dir"])
-    sim_dir = Path(config["sim_dir"])
+    traj_dir = Path(_as(str, config["traj_dir"], "traj_dir"))
+    sim_dir = Path(_as(str, config["sim_dir"], "sim_dir"))
     phi_pde = _read_column(traj_dir / "trajectory.csv", "phi")
 
     seed_dirs = sorted(sim_dir.glob("seed_*")) or [sim_dir]
@@ -223,8 +243,8 @@ def cmd_gel(args) -> int:
     config = _load_config("gel", args)
     config.setdefault("init", "dirac:0")
     config.setdefault("tol", 1e-9)
-    t_gel = ev.gelation_time(_init_measure(config["init"]),
-                             tol=float(config["tol"]))
+    t_gel = ev.gelation_time(_init_measure(_as(str, config["init"], "init")),
+                             tol=_as(float, config["tol"], "tol"))
     print(f"t_gel = {t_gel:.9f}")
     return 0
 
@@ -233,9 +253,11 @@ def cmd_fixedpoint(args) -> int:
     config = _load_config("fixedpoint", args)
     config.setdefault("n_atoms", 2000)
     config.setdefault("truncation", 40.0)
+    n_atoms = _as(int, config["n_atoms"], "n_atoms")
+    truncation = _as(float, config["truncation"], "truncation")
     out = _require_out(config)
     mfffa.write_config(config, out)
-    pi = ms.fixed_point_measure(int(config["n_atoms"]), float(config["truncation"]))
+    pi = ms.fixed_point_measure(n_atoms, truncation)
     pair = sp.leading_pair(pi)
     pi.to_csv(out / "fixed_point.csv")
     sp.spectral_csv(pair, out / "fixed_point_spectral.csv")

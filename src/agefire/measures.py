@@ -268,12 +268,18 @@ def from_named(preset: str, *params: float) -> ProbabilityAgeMeasure:
     name = preset
     if ":" in preset and not params:
         name, _, arg = preset.partition(":")
-        params = tuple(float(v) for v in arg.split(",") if v != "")
+        try:
+            params = tuple(float(v) for v in arg.split(",") if v != "")
+        except ValueError:
+            raise InputError(f"bad parameters for preset {name!r}: {arg!r} "
+                             "is not a comma-separated list of numbers") from None
     builder = _PRESETS.get(name.lower().replace("-", "_"))
     if builder is None:
         raise InputError(f"unknown preset {preset!r}; "
                          f"choose from {sorted(set(_PRESETS))}")
     if builder is fixed_point_measure and params:
+        if not math.isfinite(params[0]):
+            raise InputError("fixed_point requires a finite atom count")
         params = (int(params[0]),) + tuple(params[1:])
     try:
         return builder(*params)
@@ -310,24 +316,37 @@ def merge_atoms(measure: AgeMeasure, eps: float) -> AgeMeasure:
     events of mass * |location - barycenter|, an upper bound for the W1
     shift between input and output) never exceeds eps.  Total mass and
     first moment are preserved by construction.
+
+    Only adjacent pairs whose starting cost fits the whole budget enter
+    the heap, and the input is returned as is when there are none.  An
+    unmerged pair keeps its starting cost, and one above eps exceeds the
+    budget even with nothing spent; the pops of the remaining entries
+    come in the same order, so the result equals that of a heap over
+    every pair.
     """
-    if eps < 0:
-        raise InputError("merge budget must be >= 0")
+    if not eps >= 0.0:
+        raise InputError("merge budget must be a number >= 0")
     n = measure.n_atoms
     if eps == 0.0 or n < 2:
         return measure
     locs = measure.locations.copy()
     mass = measure.masses.copy()
+
+    def pair_cost(i, j):
+        """Cost of merging atoms i and j; slices price many pairs at once."""
+        d = locs[j] - locs[i]
+        return 2.0 * mass[i] * mass[j] * d / (mass[i] + mass[j])
+
+    costs = pair_cost(slice(None, -1), slice(1, None))
+    cand = np.flatnonzero(costs <= eps)
+    if cand.size == 0:
+        return measure
     prev = np.arange(-1, n - 1)
     nxt = np.arange(1, n + 1)
     alive = np.ones(n, dtype=bool)
     version = np.zeros(n, dtype=np.int64)
-
-    def pair_cost(i: int, j: int) -> float:
-        d = locs[j] - locs[i]
-        return 2.0 * mass[i] * mass[j] * d / (mass[i] + mass[j])
-
-    heap = [(pair_cost(i, i + 1), i, i + 1, 0, 0) for i in range(n - 1)]
+    heap = [(c, i, i + 1, 0, 0)
+            for c, i in zip(costs[cand].tolist(), cand.tolist())]
     heapq.heapify(heap)
     spent = 0.0
     while heap:

@@ -150,6 +150,15 @@ def test_solve_checkpoint_validation():
         af.solve(af.two_atom(0.5), -1.0)
 
 
+@pytest.mark.parametrize("t_max, dt", [
+    (math.nan, 1e-3), (math.inf, 1e-3), (-math.inf, 1e-3),
+    (0.1, math.nan), (0.1, math.inf), (0.1, 0.0), (0.1, -1e-3),
+])
+def test_solve_rejects_non_finite_time_and_step(t_max, dt):
+    with pytest.raises(af.InputError):
+        af.solve(af.two_atom(0.5), t_max, EvolveOptions(dt=dt))
+
+
 def test_solve_fixed_point_stationarity_small():
     pi0 = small_fixed_point()
     traj = af.solve(pi0, 0.25, EvolveOptions(
@@ -204,6 +213,35 @@ def test_mean_growth_and_tail_domination():
     mean_end = traj.states[-1].pi.first_moment()
     assert abs(mean_end - 2.0 * math.log(2.0)) < 2e-2
     assert mean_end < 0.3 + pi0.first_moment()
+
+
+def _mean_growth_loop(traj, slack=1e-9):
+    """Reference audit: one tail_mass call per grid point and state."""
+    pi0, t0 = traj.states[0].pi, traj.states[0].t
+    mean0 = pi0.first_moment()
+    locs = pi0.locations
+    grid = np.concatenate(([0.0], 0.5 * (locs[1:] + locs[:-1])))
+    checks = []
+    for s in traj.states:
+        dt = s.t - t0
+        checks.append((s.pi.first_moment(),
+                       s.pi.first_moment() <= dt + mean0 + slack))
+        tails_t = np.array([s.pi.tail_mass(x + dt) for x in grid])
+        tails_0 = np.array([pi0.tail_mass(x) for x in grid])
+        gap = float(np.max(tails_t - tails_0))
+        checks.append((gap, gap <= slack))
+    return checks
+
+
+def test_mean_growth_matches_per_point_loop():
+    traj = af.solve(small_fixed_point(), 0.3, EvolveOptions(
+        dt=1e-3, checkpoints=np.linspace(0, 0.3, 7)))
+    report = af.check_mean_growth(traj)
+    expect = _mean_growth_loop(traj)
+    assert len(report.checks) == len(expect)
+    for chk, (measured, passed) in zip(report.checks, expect):
+        assert abs(chk.measured - measured) <= 1e-14
+        assert chk.passed == passed
 
 
 def test_mean_growth_equality_in_transport():

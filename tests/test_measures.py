@@ -1,5 +1,6 @@
 """Measure representation, presets, W1 metric, and coalescing."""
 
+import heapq
 import math
 
 import numpy as np
@@ -280,6 +281,82 @@ def test_merge_atoms_respects_tight_budget():
     assert out.n_atoms == 2
     out2 = af.merge_atoms(m, 0.02)
     assert out2.n_atoms == 3
+    for bad in (-1e-9, math.nan):
+        with pytest.raises(af.InputError):
+            af.merge_atoms(m, bad)
+
+
+def _heap_merge_atoms(measure, eps):
+    """Reference coalescing: a greedy heap seeded with every adjacent pair.
+
+    Returns the merged measure and the budget it spent.
+    """
+    n = measure.n_atoms
+    if eps == 0.0 or n < 2:
+        return measure, 0.0
+    locs = measure.locations.copy()
+    mass = measure.masses.copy()
+    prev = np.arange(-1, n - 1)
+    nxt = np.arange(1, n + 1)
+    alive = np.ones(n, dtype=bool)
+    version = np.zeros(n, dtype=np.int64)
+
+    def pair_cost(i, j):
+        d = locs[j] - locs[i]
+        return 2.0 * mass[i] * mass[j] * d / (mass[i] + mass[j])
+
+    heap = [(pair_cost(i, i + 1), i, i + 1, 0, 0) for i in range(n - 1)]
+    heapq.heapify(heap)
+    spent = 0.0
+    while heap:
+        cost, i, j, vi, vj = heapq.heappop(heap)
+        if not (alive[i] and alive[j]) or version[i] != vi or version[j] != vj:
+            continue
+        if spent + cost > eps:
+            break
+        spent += cost
+        m = mass[i] + mass[j]
+        locs[i] = (locs[i] * mass[i] + locs[j] * mass[j]) / m
+        mass[i] = m
+        alive[j] = False
+        version[i] += 1
+        nxt[i] = nxt[j]
+        if nxt[i] < n:
+            prev[nxt[i]] = i
+            heapq.heappush(heap, (pair_cost(i, nxt[i]), i, nxt[i],
+                                  version[i], version[nxt[i]]))
+        if prev[i] >= 0:
+            heapq.heappush(heap, (pair_cost(prev[i], i), prev[i], i,
+                                  version[prev[i]], version[i]))
+    return type(measure)(locs[alive], mass[alive]), spent
+
+
+def test_merge_atoms_matches_heap_oracle():
+    rng = np.random.default_rng(20240)
+    merged = untouched = 0
+    for k in range(1200):
+        if k % 2:
+            m = random_probability_measure(rng, max_atoms=80)
+        else:  # clusters of near-coincident atoms: many cheap merges
+            n = int(rng.integers(2, 80))
+            centers = rng.uniform(0.0, 10.0, size=n // 4 + 1)
+            spread = 10.0 ** rng.uniform(-9.0, -3.0)
+            locs = np.abs(np.repeat(centers, 4)[:n] + rng.normal(0.0, spread, n))
+            mass = rng.uniform(0.01, 1.0, size=n)
+            m = af.ProbabilityAgeMeasure(locs, mass / mass.sum())
+        eps = float(10.0 ** rng.uniform(-8.0, 0.0))
+        ref, spent = _heap_merge_atoms(m, eps)
+        out = af.merge_atoms(m, eps)
+        assert np.array_equal(out.locations, ref.locations)
+        assert np.array_equal(out.masses, ref.masses)
+        assert type(out) is type(m)
+        assert spent <= eps
+        if ref.n_atoms < m.n_atoms:
+            merged += 1
+        else:
+            untouched += 1
+            assert out is m
+    assert merged >= 300 and untouched >= 300
 
 
 # ---------------------------------------------------------------------------

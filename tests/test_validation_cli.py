@@ -173,16 +173,49 @@ def test_cli_simulate_rejects_multiatom_deterministic_init(tmp_path):
     (["--lightning", "nan"], None),
     (["--lightning", "inf"], None),
     (["--t-max", "nan"], None),
+    (["--lightning", "abc"], None),
+    ([], {"n": "x"}),
+    ([], {"init": 5}),
 ])
 def test_cli_simulate_rejects_bad_input(tmp_path, capsys, flags, config):
-    args = ["simulate", "--n", "50", "--t-max", "0.1", "--checkpoints", "0.1",
+    args = ["simulate", "--t-max", "0.1", "--checkpoints", "0.1",
             "--out", str(tmp_path / "s")]
     if config is not None:
         (tmp_path / "cfg.json").write_text(json.dumps(config))
         args += ["--config", str(tmp_path / "cfg.json")]
+    if "n" not in (config or {}):
+        args += ["--n", "50"]
     assert main([*args, *flags]) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error:") and err.count("\n") == 1
+    assert all(key in err for key in config or {})
+
+
+@pytest.mark.parametrize("argv, config, key", [
+    (["solve", "--init", "dirac:0", "--t-max", "nan"], None, "t_max"),
+    (["solve", "--init", "dirac:0", "--t-max", "inf"], None, "t_max"),
+    (["solve", "--init", "dirac:0", "--t-max", "0.1", "--dt", "nan"], None,
+     "dt"),
+    (["solve", "--init", "dirac:0"], {"t_max": "x"}, "t_max"),
+    (["solve", "--t-max", "0.1"], {"init": 5}, "init"),
+    (["solve", "--init", "dirac:0", "--t-max", "0.1", "--checkpoints", "a"],
+     None, "checkpoints"),
+    (["gel", "--init", "twoatom:abc"], None, "init"),
+    (["gel"], {"init": 5}, "init"),
+    (["gel", "--init", "dirac:0"], {"tol": "x"}, "tol"),
+])
+def test_cli_solve_and_gel_reject_bad_input(tmp_path, capsys, argv, config,
+                                            key):
+    out = tmp_path / "r"
+    args = [*argv, "--out", str(out)] if argv[0] == "solve" else list(argv)
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        args += ["--config", str(tmp_path / "cfg.json")]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and err.count("\n") == 1
+    assert key in err
+    assert not (out / "trajectory.csv").exists()
 
 
 def test_cli_compare_trajectory_with_itself(tmp_path):
