@@ -43,7 +43,15 @@ def _load_config(command: str, args: argparse.Namespace) -> dict:
     schema = _SCHEMAS[command]
     config: dict = {}
     if getattr(args, "config", None):
-        raw = json.loads(Path(args.config).read_text())
+        try:
+            raw = json.loads(Path(args.config).read_text())
+        except OSError as exc:
+            raise InputError(f"config {args.config}: {exc.strerror or exc}") from None
+        except ValueError as exc:  # malformed JSON or not UTF-8
+            raise InputError(f"config {args.config}: {exc}") from None
+        if not isinstance(raw, dict):
+            raise InputError(f"config {args.config}: expected a JSON object, "
+                             f"got {type(raw).__name__}")
         unknown = set(raw) - schema
         if unknown:
             raise InputError(f"unknown config keys for {command}: {sorted(unknown)}")
@@ -75,7 +83,7 @@ def _parse_checkpoints(raw, t_max: float) -> list[float] | None:
     elif not isinstance(raw, (list, tuple)):
         raise InputError(f"checkpoints: expected a list, got {raw!r}")
     vals = [_as(float, v, "checkpoints") for v in raw]
-    if any(v < 0 or v > t_max + 1e-12 for v in vals):
+    if not all(0 <= v <= t_max + 1e-12 for v in vals):
         raise InputError("checkpoints must lie in [0, t_max]")
     return vals
 

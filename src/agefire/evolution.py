@@ -119,11 +119,20 @@ def _critical_state(t, pi, *, mode="critical", speed_budget=0.0, start=None):
         lambda_drift=abs(pair.lam - 1.0), speed_budget=speed_budget)
 
 
+def _check_budgets(merge_eps: float, lambda_drift_budget: float) -> None:
+    """A NaN budget would silently switch merging or the drift audit off."""
+    for name, value in (("merge_eps", merge_eps),
+                        ("lambda_drift_budget", lambda_drift_budget)):
+        if not value >= 0:
+            raise InputError(f"{name} must be >= 0, got {value!r}")
+
+
 def step(state: EvolutionState, dt: float, *, merge_eps: float = 1e-6,
          lambda_drift_budget: float = 1e-3) -> EvolutionState:
     """Advance one critical step of size dt (transport, decay, rebirth)."""
     if dt <= 0:
         raise InputError("dt must be positive")
+    _check_budgets(merge_eps, lambda_drift_budget)
     if state.pair is None or state.mode != "critical":
         raise InputError("step() requires a critical-mode state")
     pi, pair, rate = state.pi, state.pair, state.phi
@@ -211,11 +220,12 @@ def solve(pi0: ProbabilityAgeMeasure, t_max: float,
         raise InputError("t_max must be finite and >= 0")
     if not (math.isfinite(opts.dt) and opts.dt > 0):
         raise InputError("dt must be finite and > 0")
+    _check_budgets(opts.merge_eps, opts.lambda_drift_budget)
     pi0 = pi0.as_probability()
     cps_src = opts.checkpoints if opts.checkpoints is not None \
         else _default_checkpoints(t_max)
     cps = sorted({float(c) for c in cps_src})
-    if cps and (cps[0] < 0 or cps[-1] > t_max + 1e-12):
+    if not all(0 <= c <= t_max + 1e-12 for c in cps):
         raise InputError("checkpoints must lie in [0, t_max]")
     for bound in (0.0, t_max):
         if not any(abs(c - bound) <= 1e-12 for c in cps):

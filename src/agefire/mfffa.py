@@ -110,6 +110,8 @@ def sample_irg(ages, n: int | None = None, seed=None,
     else:
         order = np.argsort(ages_arr, kind="stable")
         sorted_ages = ages_arr[order]
+        bits = rng.bit_generator.ctypes
+        next_u32, state = bits.next_uint32, bits.state_address
         for i in range(n - 1):
             remaining = n - 1 - i
             p = -math.expm1(-sorted_ages[i] / n)
@@ -118,12 +120,29 @@ def sample_irg(ages, n: int | None = None, seed=None,
             deg = int(rng.binomial(remaining, p))
             picked: set[int] = set()
             while len(picked) < deg:  # deg << remaining in the sparse regime
-                picked.add(int(rng.integers(i + 1, n)))
+                picked.add(i + 1 + _uniform_index(next_u32, state, remaining))
             vi = int(order[i])
             for k in picked:
                 add_edge(graph, vi, int(order[k]))
             graph.edge_count += deg
     return graph
+
+
+def _uniform_index(next_u32, state, n: int) -> int:
+    """A uniform integer in [0, n), 1 <= n <= 2**32, drawn as
+    ``Generator.integers(n)`` draws it, bit for bit: Lemire's multiply-shift
+    with rejection (ACM TOMACS 29, 2019) on the bit generator's C
+    ``next_uint32``, called with its ``state_address``.  n = 1 draws
+    nothing, as in numpy; ``integers(lo, hi)`` is
+    ``lo + _uniform_index(..., hi - lo)``."""
+    if n == 1:
+        return 0
+    m = next_u32(state) * n
+    if m & 0xFFFFFFFF < n:  # the rejection threshold is below n
+        threshold = (0x100000000 - n) % n
+        while m & 0xFFFFFFFF < threshold:
+            m = next_u32(state) * n
+    return m >> 32
 
 
 def add_edge(graph: FireGraph, i: int, j: int) -> None:
@@ -193,6 +212,14 @@ def run(graph: FireGraph, lambda_n: float, t_max: float,
 
     Mutates ``graph`` in place.  With ``seed`` given, the generator is
     reseeded so that (seed, config) determines the run bit for bit.
+
+    The loop draws its uniforms through the bit generator's C entry points
+    (``next_double``, ``next_uint32``), which give exactly the numbers of
+    ``rng.random()`` and ``rng.integers(n)`` at a fraction of the call
+    cost, and keeps ``rng.exponential``.  The C entry points bypass the
+    bit generator's lock; taking ``bit_generator.lock`` around the loop
+    would deadlock against ``rng.exponential``, and a graph's generator
+    is never shared, so none is taken.
     """
     if not (math.isfinite(lambda_n) and lambda_n >= 0):
         raise InputError("lambda_n must be finite and >= 0")
@@ -219,6 +246,9 @@ def run(graph: FireGraph, lambda_n: float, t_max: float,
         graph.t = t_max
         return records
     p_edge = rate_edge / rate_total
+    bits = rng.bit_generator.ctypes
+    next_u32, next_double, state = (bits.next_uint32, bits.next_double,
+                                    bits.state_address)
 
     records: list[SimRecord] = []
     burn_events = 0
@@ -248,15 +278,15 @@ def run(graph: FireGraph, lambda_n: float, t_max: float,
         if t_next > t_max:
             break
         graph.t = t_next
-        if rng.random() < p_edge:
-            i = int(rng.integers(n))
-            j = int(rng.integers(n))
+        if next_double(state) < p_edge:
+            i = _uniform_index(next_u32, state, n)
+            j = _uniform_index(next_u32, state, n)
             while j == i:
-                j = int(rng.integers(n))
+                j = _uniform_index(next_u32, state, n)
             add_edge(graph, i, j)
         else:
             burn_events += 1
-            burned_vertices += strike(graph, int(rng.integers(n)))
+            burned_vertices += strike(graph, _uniform_index(next_u32, state, n))
     graph.t = t_max
     return records
 

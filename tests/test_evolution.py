@@ -49,6 +49,11 @@ def test_step_rejects_bad_input():
         af.step(state, -1e-3)
     with pytest.raises(af.AccuracyError):
         af.step(state, 1e-3, lambda_drift_budget=1e-16)
+    for budgets in ({"merge_eps": math.nan}, {"merge_eps": -1e-6},
+                    {"lambda_drift_budget": math.nan},
+                    {"lambda_drift_budget": -1e-3}):
+        with pytest.raises(af.InputError):
+            af.step(state, 1e-3, **budgets)
 
 
 # ---------------------------------------------------------------------------
@@ -150,13 +155,21 @@ def test_solve_checkpoint_validation():
         af.solve(af.two_atom(0.5), -1.0)
 
 
-@pytest.mark.parametrize("t_max, dt", [
+@pytest.mark.parametrize("t_max, opts", [
     (math.nan, 1e-3), (math.inf, 1e-3), (-math.inf, 1e-3),
     (0.1, math.nan), (0.1, math.inf), (0.1, 0.0), (0.1, -1e-3),
+    (0.1, {"merge_eps": math.nan}), (0.1, {"merge_eps": -1e-6}),
+    (0.1, {"lambda_drift_budget": math.nan}),
+    (0.1, {"lambda_drift_budget": -1e-3}),
+    (0.1, {"checkpoints": [0.05, math.nan]}),
+    (0.1, {"checkpoints": [0.0, math.inf]}),
 ])
-def test_solve_rejects_non_finite_time_and_step(t_max, dt):
+def test_solve_rejects_non_finite_time_and_step(t_max, opts):
+    # a float is the step dt; a dict sets other options
+    opts = EvolveOptions(**opts) if isinstance(opts, dict) \
+        else EvolveOptions(dt=opts)
     with pytest.raises(af.InputError):
-        af.solve(af.two_atom(0.5), t_max, EvolveOptions(dt=dt))
+        af.solve(af.two_atom(0.5), t_max, opts)
 
 
 def test_solve_fixed_point_stationarity_small():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import agefire as af
+from agefire.mfffa import _uniform_index
 
 
 def edge_count_stats(n, ages):
@@ -192,6 +193,60 @@ def _run_digest(records, graph):
         h.update(r.age_measure.masses.tobytes())
     h.update(graph.ages().tobytes())
     return h.hexdigest()
+
+
+# ---------------------------------------------------------------------------
+# draws through the bit generator's C entry points
+# ---------------------------------------------------------------------------
+
+def _twins(seed):
+    """Two generators in the same state, and the C entry points of the
+    second one."""
+    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+    bits = b.bit_generator.ctypes
+    return a, b, bits.next_uint32, bits.next_double, bits.state_address
+
+
+# 2**31 - 1 and 3 * 2**30 reach the rejection loop
+@pytest.mark.parametrize("n", [1, 2, 3, 1000, 128_000, 2**31 - 1, 3 * 2**30])
+def test_uniform_index_equals_generator_integers(n):
+    a, b, next_u32, _, state = _twins(n)
+    want = [int(a.integers(n)) for _ in range(20_000)]
+    got = [_uniform_index(next_u32, state, n) for _ in range(20_000)]
+    assert got == want
+    assert b.bit_generator.state == a.bit_generator.state
+
+
+@pytest.mark.parametrize("lo, hi", [(0, 1), (5, 6), (7, 10), (-50, 950),
+                                    (1, 128_000)])
+def test_uniform_index_offsets_equal_generator_integers(lo, hi):
+    a, b, next_u32, _, state = _twins(hi)
+    want = [int(a.integers(lo, hi)) for _ in range(20_000)]
+    got = [lo + _uniform_index(next_u32, state, hi - lo)
+           for _ in range(20_000)]
+    assert got == want
+    assert b.bit_generator.state == a.bit_generator.state
+    if hi - lo == 1:  # a single value draws nothing
+        assert a.bit_generator.state == np.random.default_rng(hi).bit_generator.state
+
+
+def test_c_entry_points_keep_the_generator_state():
+    # mixed draws leave the same state, including the buffered half of a
+    # 64-bit output (has_uint32, uinteger), as the numpy methods
+    a, b, next_u32, next_double, state = _twins(9)
+    buffered = set()  # has_uint32 as each exponential draw starts
+    for op in np.random.default_rng(10).integers(4, size=5_000):
+        if op == 0:
+            assert next_double(state) == a.random()
+        elif op == 1:
+            assert next_u32(state) == a.integers(2**32, dtype=np.uint32)
+        elif op == 2:
+            assert _uniform_index(next_u32, state, 999) == a.integers(999)
+        else:
+            buffered.add(a.bit_generator.state["has_uint32"])
+            assert b.exponential(0.5) == a.exponential(0.5)
+        assert b.bit_generator.state == a.bit_generator.state
+    assert buffered == {0, 1}
 
 
 # Pinned on fixed seeds; a refactor of the simulator state that keeps the

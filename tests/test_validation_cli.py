@@ -165,6 +165,10 @@ def test_cli_simulate_rejects_multiatom_deterministic_init(tmp_path):
                  "--seeds", "1", "--out", str(tmp_path / "s")]) == 2
 
 
+def _write_config(path, config):
+    path.write_text(config if isinstance(config, str) else json.dumps(config))
+
+
 @pytest.mark.parametrize("flags, config", [
     (["--n", "0"], None),
     (["--n", "-5"], None),
@@ -176,19 +180,26 @@ def test_cli_simulate_rejects_multiatom_deterministic_init(tmp_path):
     (["--lightning", "abc"], None),
     ([], {"n": "x"}),
     ([], {"init": 5}),
+    (["--config", "no-such-config.json"], None),
+    ([], "{not json"),
+    ([], "[1, 2]"),
+    ([], "5"),
 ])
 def test_cli_simulate_rejects_bad_input(tmp_path, capsys, flags, config):
+    # a dict config is written as JSON, a str config as raw text
     args = ["simulate", "--t-max", "0.1", "--checkpoints", "0.1",
             "--out", str(tmp_path / "s")]
     if config is not None:
-        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        _write_config(tmp_path / "cfg.json", config)
         args += ["--config", str(tmp_path / "cfg.json")]
-    if "n" not in (config or {}):
+    if not isinstance(config, dict) or "n" not in config:
         args += ["--n", "50"]
     assert main([*args, *flags]) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error:") and err.count("\n") == 1
-    assert all(key in err for key in config or {})
+    named = config if isinstance(config, dict) else \
+        [f for f in [*args, *flags] if f.endswith(".json")]
+    assert all(key in err for key in named)
 
 
 @pytest.mark.parametrize("argv, config, key", [
@@ -203,13 +214,25 @@ def test_cli_simulate_rejects_bad_input(tmp_path, capsys, flags, config):
     (["gel", "--init", "twoatom:abc"], None, "init"),
     (["gel"], {"init": 5}, "init"),
     (["gel", "--init", "dirac:0"], {"tol": "x"}, "tol"),
+    (["solve", "--init", "dirac:0", "--t-max", "0.1", "--checkpoints", "nan"],
+     None, "checkpoints"),
+    (["solve", "--init", "dirac:0", "--t-max", "0.1", "--merge-eps", "nan"],
+     None, "merge_eps"),
+    (["solve", "--init", "dirac:0", "--t-max", "0.1", "--merge-eps", "-1"],
+     None, "merge_eps"),
+    (["solve", "--init", "twoatom:0.5", "--t-max", "1", "--dt", "0.2",
+      "--drift-budget", "nan"], None, "lambda_drift_budget"),
+    (["solve", "--init", "dirac:0", "--config", "no-such-config.json"], None,
+     "no-such-config.json"),
+    (["solve", "--init", "dirac:0"], "{not json", "cfg.json"),
+    (["gel", "--init", "dirac:0"], "[]", "cfg.json"),
 ])
 def test_cli_solve_and_gel_reject_bad_input(tmp_path, capsys, argv, config,
                                             key):
     out = tmp_path / "r"
     args = [*argv, "--out", str(out)] if argv[0] == "solve" else list(argv)
     if config is not None:
-        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        _write_config(tmp_path / "cfg.json", config)
         args += ["--config", str(tmp_path / "cfg.json")]
     assert main(args) == 2
     err = capsys.readouterr().err
