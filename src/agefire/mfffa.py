@@ -29,7 +29,6 @@ statistic (pi/2) * (sqrt(m) * sum_{k >= m} v_k)^2).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -164,11 +163,12 @@ def strike(graph: FireGraph, v: int) -> int:
     """Burn the component of v at the current time: its vertices become
     singletons (all its edges are gone) and their ages reset to zero.
     Returns the component size."""
-    comp = graph.members[graph.root[v]]
+    root, members = graph.root, graph.members
+    comp = members[root[v]]
     graph.last_burn[comp] = graph.t
     for u in comp:
-        graph.root[u] = u
-        graph.members[u] = [u]
+        root[u] = u
+        members[u] = [u]
     return len(comp)
 
 
@@ -376,9 +376,3 @@ def write_sim_outputs(records: Sequence[SimRecord], out_dir) -> None:
                                       for k in sorted(r.cluster_hist)]
         (out / f"clusters_t{r.t:.6f}.csv").write_text("\n".join(hist_rows) + "\n")
     (out / "sim.csv").write_text("\n".join(rows) + "\n")
-
-
-def write_config(config: dict, out_dir) -> None:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "config.json").write_text(json.dumps(config, indent=2, sort_keys=True) + "\n")

@@ -77,6 +77,56 @@ def test_cli_solve_reproducible_from_config(tmp_path):
     assert (out1 / "trajectory.csv").read_text() == (out2 / "trajectory.csv").read_text()
 
 
+def test_cli_simulate_reproducible_from_config(tmp_path):
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    _write_config(tmp_path / "seeds.json", {"seeds": [3, 7]})
+    assert main(["simulate", "--config", str(tmp_path / "seeds.json"),
+                 "--n", "150", "--lightning", "0.05", "--t-max", "1.0",
+                 "--checkpoints", "0.5,1.0", "--out", str(out1)]) == 0
+    # the echo holds converted values, and a rerun from it alone repeats the run
+    loaded = json.loads((out1 / "config.json").read_text())
+    assert loaded["seeds"] == [3, 7] and loaded["lightning"] == 0.05
+    assert loaded["checkpoints"] == [0.5, 1.0]
+    loaded["out"] = str(out2)
+    _write_config(tmp_path / "cfg.json", loaded)
+    assert main(["simulate", "--config", str(tmp_path / "cfg.json")]) == 0
+    for name in ("seed_3/sim.csv", "seed_7/sim.csv", "aggregate.csv"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+# option strings and dests of every subcommand, as released; configs and
+# scripts depend on them
+FLAG_SURFACE = {
+    "solve": [(["--config"], "config"), (["--init"], "init"),
+              (["--t-max"], "t_max"), (["--dt"], "dt"),
+              (["--checkpoints"], "checkpoints"), (["--merge-eps"], "merge_eps"),
+              (["--drift-budget"], "lambda_drift_budget"), (["--out"], "out")],
+    "simulate": [(["--config"], "config"), (["--init"], "init"), (["--n"], "n"),
+                 (["--lightning"], "lightning"), (["--t-max"], "t_max"),
+                 (["--checkpoints"], "checkpoints"), (["--seeds"], "seeds"),
+                 (["--out"], "out")],
+    "compare": [(["--config"], "config"), (["--traj-dir"], "traj_dir"),
+                (["--sim-dir"], "sim_dir"), (["--out"], "out")],
+    "validate": [(["--config"], "config"), ([], "suite")],
+    "gel": [(["--config"], "config"), (["--init"], "init"), (["--tol"], "tol")],
+    "fixedpoint": [(["--config"], "config"), (["--atoms"], "n_atoms"),
+                   (["--truncation"], "truncation"), (["--out"], "out")],
+}
+
+
+def test_cli_flag_surface_is_pinned():
+    import argparse
+    from agefire.cli import build_parser
+
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    surface = {name: [(a.option_strings, a.dest) for a in p._actions
+                      if not isinstance(a, argparse._HelpAction)]
+               for name, p in sub.choices.items()}
+    assert list(surface) == list(FLAG_SURFACE)
+    assert surface == FLAG_SURFACE
+
+
 def test_cli_unknown_config_key_rejected(tmp_path):
     (tmp_path / "bad.json").write_text(json.dumps({"frobnicate": 1}))
     code = main(["solve", "--config", str(tmp_path / "bad.json"),
@@ -184,11 +234,17 @@ def _write_config(path, config):
     ([], "{not json"),
     ([], "[1, 2]"),
     ([], "5"),
+    (["--n", "abc"], None),
+    (["--seeds", "x"], None),
+    (["--t-max", "abc"], None),
+    (["--lightning", "-1"], None),
+    (["--init", "twoatom:0.5"], None),
 ])
 def test_cli_simulate_rejects_bad_input(tmp_path, capsys, flags, config):
     # a dict config is written as JSON, a str config as raw text
+    out = tmp_path / "s"
     args = ["simulate", "--t-max", "0.1", "--checkpoints", "0.1",
-            "--out", str(tmp_path / "s")]
+            "--out", str(out)]
     if config is not None:
         _write_config(tmp_path / "cfg.json", config)
         args += ["--config", str(tmp_path / "cfg.json")]
@@ -197,9 +253,11 @@ def test_cli_simulate_rejects_bad_input(tmp_path, capsys, flags, config):
     assert main([*args, *flags]) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error:") and err.count("\n") == 1
-    named = config if isinstance(config, dict) else \
+    named = list(config) if isinstance(config, dict) else \
         [f for f in [*args, *flags] if f.endswith(".json")]
+    named += [f[2:].replace("-", "_") for f in flags[:1] if f != "--config"]
     assert all(key in err for key in named)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, config, key", [
@@ -226,11 +284,17 @@ def test_cli_simulate_rejects_bad_input(tmp_path, capsys, flags, config):
      "no-such-config.json"),
     (["solve", "--init", "dirac:0"], "{not json", "cfg.json"),
     (["gel", "--init", "dirac:0"], "[]", "cfg.json"),
+    (["solve", "--init", "dirac:0", "--t-max", "abc"], None, "t_max"),
+    (["fixedpoint", "--atoms", "1.5"], None, "n_atoms"),
+    (["fixedpoint", "--atoms", "0"], None, "n_atoms"),
+    (["solve", "--init", "dirac:2", "--t-max", "0.5"], None, "init"),
+    (["gel", "--init", "dirac:0", "--tol", "nan"], None, "tol"),
+    (["gel", "--init", "dirac:0", "--tol", "-1"], None, "tol"),
 ])
 def test_cli_solve_and_gel_reject_bad_input(tmp_path, capsys, argv, config,
                                             key):
     out = tmp_path / "r"
-    args = [*argv, "--out", str(out)] if argv[0] == "solve" else list(argv)
+    args = list(argv) if argv[0] == "gel" else [*argv, "--out", str(out)]
     if config is not None:
         _write_config(tmp_path / "cfg.json", config)
         args += ["--config", str(tmp_path / "cfg.json")]
@@ -238,7 +302,16 @@ def test_cli_solve_and_gel_reject_bad_input(tmp_path, capsys, argv, config,
     err = capsys.readouterr().err
     assert err.startswith("input error:") and err.count("\n") == 1
     assert key in err
-    assert not (out / "trajectory.csv").exists()
+    assert not out.exists()
+
+
+def test_cli_out_naming_a_file_is_an_input_error(tmp_path, capsys):
+    (tmp_path / "taken").write_text("")
+    assert main(["fixedpoint", "--atoms", "20",
+                 "--out", str(tmp_path / "taken")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and err.count("\n") == 1
+    assert str(tmp_path / "taken") in err
 
 
 def test_cli_compare_trajectory_with_itself(tmp_path):
@@ -273,6 +346,52 @@ def test_cli_compare_grid_mismatch(tmp_path):
         "t,burned_cum,largest_cluster,n_clusters,phi_hat_window\n0.3,0,1,1,0\n")
     assert main(["compare", "--traj-dir", str(traj_dir),
                  "--sim-dir", str(sim_dir), "--out", str(tmp_path / "c")]) == 2
+
+
+@pytest.mark.parametrize("target, text", [
+    ("traj/trajectory.csv", None),
+    ("traj/trajectory.csv", "t,lambda\n0.5,1\n"),
+    ("traj/snapshot_t0.500000.csv", None),
+    ("sim/seed_1/sim.csv", None),
+    ("sim/seed_1/sim.csv", ""),
+    ("sim/seed_1/sim.csv", "t,phi_hat_window\n0.5\n"),
+    ("sim/seed_1/sim.csv", "t,phi_hat_window\n0.25,0\n"),
+    ("sim/seed_1/snapshot_t0.500000.csv", None),
+    ("sim/seed_1/snapshot_t0.500000.csv", "location,mass\n0.5\n"),
+    ("sim/seed_1/snapshot_t0.500000.csv", "age,weight\n0.5,1\n"),
+    ("sim/seed_1/snapshot_t0.500000.csv", "location,mass\n0.5,x\n"),
+], ids=["no-trajectory", "no-phi-column", "no-pde-snapshot", "no-sim",
+        "empty-sim", "short-sim-row", "sim-misses-checkpoint", "no-snapshot",
+        "short-snapshot-row", "snapshot-header", "snapshot-not-a-number"])
+def test_cli_compare_rejects_missing_or_malformed_input(tmp_path, capsys,
+                                                        target, text):
+    assert main(["solve", "--init", "dirac:0", "--t-max", "0.5",
+                 "--checkpoints", "0.5", "--out", str(tmp_path / "traj")]) == 0
+    assert main(["simulate", "--n", "50", "--t-max", "0.5", "--checkpoints",
+                 "0.5", "--seeds", "2", "--out", str(tmp_path / "sim")]) == 0
+    # a None text deletes the file, a str replaces its contents
+    if text is None:
+        (tmp_path / target).unlink()
+    else:
+        (tmp_path / target).write_text(text)
+    capsys.readouterr()
+    out = tmp_path / "cmp"
+    assert main(["compare", "--traj-dir", str(tmp_path / "traj"),
+                 "--sim-dir", str(tmp_path / "sim"), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and err.count("\n") == 1
+    assert str(tmp_path / target) in err
+    assert not out.exists()
+
+
+def test_cli_compare_rejects_missing_directories(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["compare", "--traj-dir", str(tmp_path / "nope"),
+                 "--sim-dir", str(tmp_path / "nope2"), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and err.count("\n") == 1
+    assert str(tmp_path / "nope" / "trajectory.csv") in err
+    assert not out.exists()
 
 
 def test_cli_exit_code_accuracy_error(tmp_path):
