@@ -65,9 +65,11 @@ _count = _kind("an integer >= 1", _int, lambda k: k >= 1)
 _seed = _kind("an integer >= 0", _int, lambda k: k >= 0)
 _times = _kind("a list of finite times >= 0, or a comma-separated string of them",
                lambda v: [_time(t) for t in _split(v)])
-_seeds = _kind("a replica count k >= 1 (seeds 0..k-1) or a non-empty list of seeds >= 0",
+_seeds = _kind("a replica count k >= 1 (seeds 0..k-1) or a non-empty list of "
+               "distinct seeds >= 0",
                lambda v: [_seed(s) for s in v] if isinstance(v, list)
-               else list(range(_count(v))), bool)
+               else list(range(_count(v))),
+               lambda seeds: seeds and len(set(seeds)) == len(seeds))
 _lightning = _kind("'auto' (n^-1/2) or a finite number >= 0",
                    lambda v: v if v == "auto" else _time(v))
 
@@ -200,7 +202,8 @@ def cmd_simulate(args) -> int:
     config = _load_config("simulate", args)
     n, t_max, init, seeds = (config[k] for k in ("n", "t_max", "init", "seeds"))
     lambda_n = n ** -0.5 if config["lightning"] == "auto" else config["lightning"]
-    cps = config["checkpoints"] or list(np.linspace(0.0, t_max, 7)[1:])
+    cps = sorted(set(config["checkpoints"] or ev.even_checkpoints(t_max, 6)[1:]))
+    ev.check_snapshot_names(cps)
     iid = init.startswith("iid:")
     base = _init_measure(init[4:] if iid else init)
     if not iid and base.n_atoms != 1:
@@ -269,7 +272,7 @@ def cmd_compare(args) -> int:
         for sd, phi_sim in zip(seed_dirs, phi_sims):
             if t not in phi_sim:
                 raise InputError(f"{sd / 'sim.csv'}: no row at t = {t:.12g}")
-            emp = _guard(sd / f"snapshot_t{t:.6f}.csv", ms.AgeMeasure.from_csv)
+            emp = _guard(sd / ev.snapshot_filename(t), ms.AgeMeasure.from_csv)
             w1s.append(ms.w1(emp, pde_snap))
             phis.append(phi_sim[t])
         rows.append(f"{t:.12g},{statistics.median(w1s):.8g},"

@@ -34,3 +34,8 @@ class IterationLimitError(AccuracyError):
     def __init__(self, message: str, residual: float):
         super().__init__(message)
         self.residual = residual
+
+    def __reduce__(self):
+        # pickle rebuilds an exception from its args, which hold only the
+        # message; pass the residual too
+        return type(self), (*self.args, self.residual)

@@ -200,12 +200,6 @@ def gelation_time(pi0: AgeMeasure, tol: float = 1e-9,
     return 0.5 * (lo + hi)
 
 
-def _default_checkpoints(t_max: float) -> list[float]:
-    if t_max <= 0:
-        return [0.0]
-    return list(np.linspace(0.0, t_max, 11))
-
-
 def solve(pi0: ProbabilityAgeMeasure, t_max: float,
           opts: EvolveOptions = EvolveOptions()) -> Trajectory:
     """Solve the age dynamics from pi0 up to t_max, recording checkpoints.
@@ -223,7 +217,7 @@ def solve(pi0: ProbabilityAgeMeasure, t_max: float,
     _check_budgets(opts.merge_eps, opts.lambda_drift_budget)
     pi0 = pi0.as_probability()
     cps_src = opts.checkpoints if opts.checkpoints is not None \
-        else _default_checkpoints(t_max)
+        else even_checkpoints(t_max, 10)
     cps = sorted({float(c) for c in cps_src})
     if not all(0 <= c <= t_max + 1e-12 for c in cps):
         raise InputError("checkpoints must lie in [0, t_max]")
@@ -231,6 +225,7 @@ def solve(pi0: ProbabilityAgeMeasure, t_max: float,
         if not any(abs(c - bound) <= 1e-12 for c in cps):
             cps.append(bound)
     cps = sorted(set(cps))
+    check_snapshot_names(cps)
 
     lam0 = leading_eigenvalue(pi0)
     if lam0 > 1.0 + opts.crit_tol:
@@ -243,10 +238,12 @@ def solve(pi0: ProbabilityAgeMeasure, t_max: float,
     if lam0 < 1.0 - opts.crit_tol:
         t_gel = gelation_time(pi0, tol=opts.gel_tol, crit_tol=opts.crit_tol)
         # keep the switch instant as a checkpoint unless one already sits
-        # within the gelation tolerance of it
+        # within the gelation tolerance of it or writes its snapshot file
         minsep = max(1e-9, 2.0 * opts.gel_tol)
-        if minsep < t_gel < t_max - minsep and \
-                not any(abs(c - t_gel) <= minsep for c in cps):
+        name = snapshot_filename(t_gel)
+        if minsep < t_gel < t_max - minsep and not any(
+                abs(c - t_gel) <= minsep or snapshot_filename(c) == name
+                for c in cps):
             cps = sorted(cps + [t_gel])
         for c in [c for c in cps if c <= min(t_gel, t_max) + 1e-12]:
             pi_c = pi0.translate(c)
@@ -260,10 +257,7 @@ def solve(pi0: ProbabilityAgeMeasure, t_max: float,
         switch_jump = abs(state.lam - 1.0)
         if abs(states[-1].t - t_gel) <= 1e-12:
             states[-1] = state
-        elif any(abs(c - t_gel) <= minsep for c in cps):
-            pass  # a regular checkpoint sits at the switch; record it there
-        else:
-            states.append(state)
+        # otherwise a regular checkpoint sits at the switch: record it there
         remaining = [c for c in cps if c > t_gel + 1e-12]
     else:
         t_gel = 0.0
@@ -456,6 +450,25 @@ TRAJECTORY_HEADER = "t,lambda,phi,mean_age,atom_count,w1_to_fixed_point,mass_def
 
 def snapshot_filename(t: float) -> str:
     return f"snapshot_t{t:.6f}.csv"
+
+
+def even_checkpoints(t_max: float, intervals: int) -> list[float]:
+    """0 and ``intervals`` evenly spaced times up to t_max, or fewer when
+    t_max is so short that a spacing of at most 1e-6, the resolution of
+    :func:`snapshot_filename`, would give two of them the same name."""
+    k = min(intervals, max(1, math.ceil(t_max * 1e6) - 1))
+    return np.linspace(0.0, t_max, k + 1).tolist()
+
+
+def check_snapshot_names(times: Sequence[float]) -> None:
+    """Raise InputError when two of the times would write the same
+    snapshot file, which would silently keep only the later state."""
+    seen: dict[str, float] = {}
+    for t in times:
+        other = seen.setdefault(snapshot_filename(t), t)
+        if other != t:
+            raise InputError(f"checkpoints {other:.12g} and {t:.12g} share "
+                             f"the snapshot name {snapshot_filename(t)}")
 
 
 def write_trajectory(traj: Trajectory, out_dir,

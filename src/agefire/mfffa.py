@@ -31,12 +31,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .errors import InputError
+from .evolution import snapshot_filename
 from .measures import ProbabilityAgeMeasure
 
 
@@ -72,8 +74,9 @@ def sample_irg(ages, n: int | None = None, seed=None,
 
     - ``"dense"``: O(n^2) Bernoulli sweep, row by row (default up to 3e4).
     - ``"sorted"``: sorts vertices by age; in sorted order the edge
-      probability from vertex i to every later vertex is constant, so a
-      binomial degree draw plus rejection sampling gives O(n + edges).
+      probability from vertex i to every later vertex is constant, so
+      binomial degrees plus uniform targets give O(n log n + edges) array
+      work (see :func:`_sorted_irg_edges`).
     - ``"auto"``: dense up to n = 30000, sorted beyond.
     """
     ages_arr = np.asarray(ages, dtype=float)
@@ -94,37 +97,98 @@ def sample_irg(ages, n: int | None = None, seed=None,
         raise InputError(f"unknown sampling method {method!r}")
 
     rng = np.random.default_rng(seed)
+    if method == "sorted":
+        u, v = _sorted_irg_edges(ages_arr, rng)
+        root, members = _partition(n, u, v)
+        return FireGraph(n=n, last_burn=-ages_arr, root=root, members=members,
+                         edge_count=u.size, t=0.0, rng=rng)
     graph = FireGraph(n=n, last_burn=-ages_arr, root=list(range(n)),
                       members=[[v] for v in range(n)], edge_count=0, t=0.0,
                       rng=rng)
-    if method == "dense":
-        for i in range(n - 1):
-            if ages_arr[i] == 0.0:
-                continue  # min age 0 makes every pair probability 0
-            p = -np.expm1(-np.minimum(ages_arr[i], ages_arr[i + 1:]) / n)
-            hits = np.flatnonzero(rng.random(n - 1 - i) < p)
-            for off in hits:
-                add_edge(graph, i, i + 1 + int(off))
-            graph.edge_count += hits.size
-    else:
-        order = np.argsort(ages_arr, kind="stable")
-        sorted_ages = ages_arr[order]
-        bits = rng.bit_generator.ctypes
-        next_u32, state = bits.next_uint32, bits.state_address
-        for i in range(n - 1):
-            remaining = n - 1 - i
-            p = -math.expm1(-sorted_ages[i] / n)
-            if p <= 0.0:
-                continue
-            deg = int(rng.binomial(remaining, p))
-            picked: set[int] = set()
-            while len(picked) < deg:  # deg << remaining in the sparse regime
-                picked.add(i + 1 + _uniform_index(next_u32, state, remaining))
-            vi = int(order[i])
-            for k in picked:
-                add_edge(graph, vi, int(order[k]))
-            graph.edge_count += deg
+    for i in range(n - 1):
+        if ages_arr[i] == 0.0:
+            continue  # min age 0 makes every pair probability 0
+        p = -np.expm1(-np.minimum(ages_arr[i], ages_arr[i + 1:]) / n)
+        hits = np.flatnonzero(rng.random(n - 1 - i) < p)
+        for off in hits:
+            add_edge(graph, i, i + 1 + int(off))
+        graph.edge_count += hits.size
     return graph
+
+
+def _sorted_irg_edges(ages: np.ndarray, rng: np.random.Generator):
+    """The edges of the age-driven random graph as two vertex arrays.
+
+    In age order, vertex i joins each later vertex with the same
+    probability p_i = 1 - exp(-age_i / n), so its number of later
+    neighbours is Binomial(n - 1 - i, p_i) and, given that number, its
+    neighbour set is a uniform subset of the later vertices.  One binomial
+    call draws every degree (rows with p_i = 0 draw nothing) and one
+    integers call every target; then only the repeated targets within a
+    row are redrawn, until each row is distinct.  Which copies are redrawn
+    depends only on which draws are equal, never on their values, so the
+    law of a row's set is invariant under permutations of its candidates:
+    a uniform subset of the drawn size.
+    """
+    n = ages.size
+    order = np.argsort(ages, kind="stable")
+    sorted_ages = ages[order]
+    rows = np.flatnonzero(sorted_ages[:-1] > 0.0)
+    if rows.size == 0:
+        return np.empty(0, np.intp), np.empty(0, np.intp)
+    span = n - 1 - rows                      # later vertices of each row
+    deg = rng.binomial(span, -np.expm1(-sorted_ages[rows] / n))
+    rows, span = np.repeat(rows, deg), np.repeat(span, deg)
+    offset = rng.integers(span)              # target = row + 1 + offset
+    while True:
+        # group equal (row, target) pairs; rows * n + offset < n**2
+        by_key = np.argsort(rows * n + offset)
+        rows, span, offset = rows[by_key], span[by_key], offset[by_key]
+        dup = 1 + np.flatnonzero((rows[1:] == rows[:-1])
+                                 & (offset[1:] == offset[:-1]))
+        if dup.size == 0:
+            return order[rows], order[rows + 1 + offset]
+        offset[dup] = rng.integers(span[dup])
+
+
+def _partition(n: int, u: np.ndarray, v: np.ndarray):
+    """``root`` and ``members`` of the components of the graph with edges
+    (u[k], v[k]), each labelled by its smallest vertex.
+
+    Min-label hooking with pointer jumping: ``label[x]`` is a vertex of x's
+    component no larger than x, and each round hooks the larger label of
+    every edge whose ends disagree onto the smaller one, then jumps every
+    label to its fixed point.  Each round removes at least one label, and
+    the sparse graphs sampled here settle in a few rounds.  The hooking
+    ends before any Python list is built, and its arrays are freed before
+    the member lists are, which keeps the peak memory of the old
+    edge-by-edge build.
+    """
+    label = np.arange(n)
+    while True:
+        lu, lv = label[u], label[v]
+        split = lu != lv
+        if not split.any():
+            break
+        np.minimum.at(label, np.maximum(lu, lv)[split], np.minimum(lu, lv)[split])
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+    del lu, lv, split
+    by_label = np.argsort(label, kind="stable")
+    sizes = np.bincount(label, minlength=n).tolist()
+    flat = by_label.tolist()
+    # root[x] is the int object of x's label, as after add_edge, not one
+    # fresh int per vertex (~4 MB at n = 128 000)
+    as_object = np.empty(n, dtype=object)
+    as_object[by_label] = flat
+    root = as_object[label].tolist()
+    del label, by_label, as_object
+    # the slice ends come lazily: a list of n large ints would cost ~5 MB
+    return root, [flat[end - size:end]
+                  for size, end in zip(sizes, accumulate(sizes))]
 
 
 def _uniform_index(next_u32, state, n: int) -> int:
@@ -371,7 +435,7 @@ def write_sim_outputs(records: Sequence[SimRecord], out_dir) -> None:
     for r in records:
         rows.append(f"{r.t:.12g},{r.burned_vertices},{r.largest_cluster},"
                     f"{r.n_clusters},{r.phi_hat_window:.17g}")
-        r.age_measure.to_csv(out / f"snapshot_t{r.t:.6f}.csv")
+        r.age_measure.to_csv(out / snapshot_filename(r.t))
         hist_rows = ["size,count"] + [f"{k},{r.cluster_hist[k]}"
                                       for k in sorted(r.cluster_hist)]
         (out / f"clusters_t{r.t:.6f}.csv").write_text("\n".join(hist_rows) + "\n")

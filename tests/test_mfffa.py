@@ -3,11 +3,14 @@
 import hashlib
 import math
 
+import itertools
+
 import numpy as np
 import pytest
+from scipy import stats
 
 import agefire as af
-from agefire.mfffa import _uniform_index
+from agefire.mfffa import _partition, _sorted_irg_edges, _uniform_index
 
 
 def edge_count_stats(n, ages):
@@ -149,6 +152,150 @@ def test_subcritical_er_isolated_fraction():
 
 
 # ---------------------------------------------------------------------------
+# the sorted sampler against the dense sweep and add_edge
+# ---------------------------------------------------------------------------
+
+ALPHA = 1e-3  # level of each two-sample and goodness-of-fit test below
+
+
+def _partition_sets(g):
+    return sorted(sorted(m) for m in g.members if m)
+
+
+def _size_classes(g):
+    """Component counts of sizes 1, 2, 3, 4 and >= 5."""
+    sizes = np.bincount(g.root)
+    return np.bincount(np.minimum(sizes[sizes > 0], 5), minlength=6)[1:]
+
+
+def _sample_stats(ages, method, seeds):
+    edges, largest, classes = [], [], np.zeros(5, dtype=int)
+    for s in seeds:
+        g = af.sample_irg(ages, seed=s, method=method)
+        edges.append(g.edge_count)
+        largest.append(max(len(m) for m in g.members))
+        classes += _size_classes(g)
+    return edges, largest, classes
+
+
+@pytest.mark.parametrize("profile", ["iid-exponential", "tied"])
+def test_irg_sorted_sampler_law_equals_dense(profile):
+    # conditional on one age profile, 200 graphs of each sampler: edge
+    # counts and largest components by two-sample KS, the pooled histogram
+    # of component sizes 1, 2, 3, 4, >= 5 by chi-square homogeneity
+    n = 500
+    rng = np.random.default_rng(17)
+    ages = rng.exponential(1.0, size=n) if profile == "iid-exponential" \
+        else rng.choice([0.0, 0.5, 1.0, 2.0], size=n)
+    dense = _sample_stats(ages, "dense", range(200))
+    fast = _sample_stats(ages, "sorted", range(1000, 1200))
+    assert stats.ks_2samp(dense[0], fast[0]).pvalue > ALPHA
+    assert stats.ks_2samp(dense[1], fast[1]).pvalue > ALPHA
+    assert stats.chi2_contingency([dense[2], fast[2]]).pvalue > ALPHA
+    assert np.mean(fast[1]) > 10  # not a trivially sparse profile
+
+
+def test_irg_sorted_sampler_exact_law_small_graph():
+    # n = 4 with large ages: most rows draw 2 or 3 of their 3 candidates,
+    # so repeated targets and their redraws are common; the 64 possible
+    # edge sets must appear with their product-Bernoulli probabilities
+    n, draws = 4, 20_000
+    ages = np.array([9.0, 3.0, 12.0, 6.0])
+    pairs = list(itertools.combinations(range(n), 2))
+    p = {pq: -math.expm1(-min(ages[pq[0]], ages[pq[1]]) / n) for pq in pairs}
+    rng = np.random.default_rng(23)
+    counts, repeats = {}, 0
+    for _ in range(draws):
+        u, v = _sorted_irg_edges(ages, rng)
+        edges = frozenset(tuple(sorted(e)) for e in zip(u.tolist(), v.tolist()))
+        assert len(edges) == u.size and (u != v).all()
+        counts[edges] = counts.get(edges, 0) + 1
+    subsets = [frozenset(c) for k in range(len(pairs) + 1)
+               for c in itertools.combinations(pairs, k)]
+    expected = [draws * math.prod(p[pq] if pq in e else 1 - p[pq]
+                                  for pq in pairs) for e in subsets]
+    observed = [counts.get(e, 0) for e in subsets]
+    assert sum(observed) == draws and min(expected) > 5
+    assert stats.chisquare(observed, expected).pvalue > ALPHA
+
+
+def test_irg_sorted_sampler_single_and_two_vertices():
+    g = af.sample_irg(50.0, n=1, seed=4, method="sorted")
+    assert (g.edge_count, g.root, g.members) == (0, [0], [[0]])
+    assert g.rng.bit_generator.state == \
+        np.random.default_rng(4).bit_generator.state
+    # two vertices: one Bernoulli(1 - exp(-min age / 2)) edge
+    p = -math.expm1(-1.0 / 2)
+    joined = 0
+    for seed in range(2000):
+        g = af.sample_irg([3.0, 1.0], seed=seed, method="sorted")
+        assert_partition(g)
+        if g.edge_count:
+            assert (g.edge_count, g.root, g.members) == (1, [0, 0], [[0, 1], []])
+            joined += 1
+        else:
+            assert (g.root, g.members) == ([0, 1], [[0], [1]])
+    assert abs(joined / 2000 - p) <= 4.0 * math.sqrt(p * (1 - p) / 2000)
+
+
+@pytest.mark.parametrize("ages", [np.zeros(300), [0.0, 5.0], [0.0],
+                                  [7.0, 0.0, 0.0]])
+def test_irg_sorted_sampler_zero_ages_draw_nothing(ages):
+    # a lone positive age, or one that only sorts last, has no later
+    # vertex of positive age to join
+    g = af.sample_irg(ages, seed=8, method="sorted")
+    assert g.edge_count == 0
+    assert g.rng.bit_generator.state == \
+        np.random.default_rng(8).bit_generator.state
+
+
+def _add_edge_partition(n, u, v):
+    g = af.sample_irg(0.0, n=n, seed=0)
+    for i, j in zip(u.tolist(), v.tolist()):
+        af.add_edge(g, i, j)
+    return g
+
+
+@pytest.mark.parametrize("scale", [0.5, 1.0, 2.0, 20.0])
+def test_irg_sorted_partition_equals_add_edge(scale):
+    # subcritical, critical, supercritical and nearly complete profiles
+    n = 700
+    ages = np.random.default_rng(31).exponential(scale, size=n)
+    for seed in range(5):
+        g = af.sample_irg(ages, seed=seed, method="sorted")
+        u, v = _sorted_irg_edges(ages, np.random.default_rng(seed))
+        assert g.edge_count == u.size
+        assert len({(min(e), max(e)) for e in zip(u.tolist(), v.tolist())}) == u.size
+        assert _partition_sets(g) == _partition_sets(_add_edge_partition(n, u, v))
+        assert_partition(g)
+        # each label is its component's smallest vertex
+        assert all(m[0] == r == min(m) for r, m in enumerate(g.members) if m)
+
+
+def test_partition_of_arbitrary_edge_lists():
+    # min-label hooking on graphs the sampler never draws: long paths and
+    # cycles in shuffled label order, stars and duplicate edges
+    rng = np.random.default_rng(5)
+    n = 400
+    perm = rng.permutation(n)
+    cases = [(perm[:-1], perm[1:]),                   # one shuffled path
+             (perm, np.roll(perm, 1)),                 # one shuffled cycle
+             (np.full(n - 1, n - 1), np.arange(n - 1)),  # star on the max
+             (np.array([3, 3, 5]), np.array([5, 5, 3])),
+             (np.empty(0, int), np.empty(0, int))]
+    for _ in range(20):
+        m = int(rng.integers(0, 2 * n))
+        cases.append((rng.integers(n, size=m), rng.integers(n, size=m)))
+    for u, v in cases:
+        root, members = _partition(n, u, v)
+        want = _add_edge_partition(n, u, v)
+        assert sorted(m for m in members if m) == _partition_sets(want)
+        for r, m in enumerate(members):
+            assert all(root[x] == r for x in m)
+            assert not m or m[0] == r
+
+
+# ---------------------------------------------------------------------------
 # dynamics
 # ---------------------------------------------------------------------------
 
@@ -253,7 +400,7 @@ def test_c_entry_points_keep_the_generator_state():
 # RNG draw order must reproduce these digests exactly.
 PINNED_RUNS = {
     "dense": "5a4130eb7c299830edbf7de6e105ec33f149ca5a7fd680afe7493bba4c7d7ef8",
-    "sorted": "4aa65a08455cec3455858989c75e53ef681b06f284ef4e6492225359d3461b35",
+    "sorted": "eb08bb38c1e85db4d5e43b8ef2cf1d80bde804fba38c0b72fe92fce09897a19c",
     "zero-age": "0996163c57d511601b22cda8b7e83581d8e318ac60be904d43d860e2a1616bf6",
 }
 

@@ -1,6 +1,8 @@
 """Leading eigenpair, burning rate, reconstruction, and explicit bounds."""
 
+import inspect
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -59,6 +61,22 @@ def test_iteration_limit_error_reports_residual():
     with pytest.raises(af.IterationLimitError) as err:
         af.leading_pair(m, max_iters=2)
     assert err.value.residual > 0.0
+    again = pickle.loads(pickle.dumps(err.value))
+    assert (str(again), again.residual) == (str(err.value), err.value.residual)
+
+
+def test_every_error_survives_pickling():
+    # errors must cross a process boundary with their message and fields
+    classes = [c for _, c in inspect.getmembers(af.errors, inspect.isclass)
+               if issubclass(c, af.AgefireError)]
+    assert af.IterationLimitError in classes and len(classes) == 6
+    for cls in classes:
+        err = cls("went wrong", residual=0.25) \
+            if cls is af.IterationLimitError else cls("went wrong")
+        again = pickle.loads(pickle.dumps(err))
+        assert type(again) is cls
+        assert (str(again), again.args) == ("went wrong", ("went wrong",))
+        assert vars(again) == vars(err)
 
 
 def test_matches_dense_eigensolver_oracle():

@@ -239,6 +239,8 @@ def _write_config(path, config):
     (["--t-max", "abc"], None),
     (["--lightning", "-1"], None),
     (["--init", "twoatom:0.5"], None),
+    (["--checkpoints", "0.5,0.5000001", "--t-max", "1"], None),
+    ([], {"seeds": [3, 3]}),
 ])
 def test_cli_simulate_rejects_bad_input(tmp_path, capsys, flags, config):
     # a dict config is written as JSON, a str config as raw text
@@ -290,6 +292,10 @@ def test_cli_simulate_rejects_bad_input(tmp_path, capsys, flags, config):
     (["solve", "--init", "dirac:2", "--t-max", "0.5"], None, "init"),
     (["gel", "--init", "dirac:0", "--tol", "nan"], None, "tol"),
     (["gel", "--init", "dirac:0", "--tol", "-1"], None, "tol"),
+    (["solve", "--init", "dirac:0", "--t-max", "0.01", "--checkpoints",
+      "0.005,0.0050000004"], None, "checkpoints"),
+    (["solve", "--init", "dirac:0", "--t-max", "1.0000004", "--checkpoints",
+      "0.5,1"], None, "checkpoints"),
 ])
 def test_cli_solve_and_gel_reject_bad_input(tmp_path, capsys, argv, config,
                                             key):
@@ -303,6 +309,39 @@ def test_cli_solve_and_gel_reject_bad_input(tmp_path, capsys, argv, config,
     assert err.startswith("input error:") and err.count("\n") == 1
     assert key in err
     assert not out.exists()
+
+
+def test_cli_each_row_has_its_own_snapshot(tmp_path):
+    # the gelation switch at t = 1 - 1e-9 is not recorded beside a
+    # checkpoint with the same snapshot name
+    traj = tmp_path / "traj"
+    assert main(["solve", "--init", "dirac:0", "--t-max", "1.01",
+                 "--checkpoints", "0.5,1.0000004,1.01", "--out", str(traj)]) == 0
+    rows = (traj / "trajectory.csv").read_text().splitlines()[1:]
+    assert [float(r.split(",")[0]) for r in rows] == [0.0, 0.5, 1.0000004, 1.01]
+    assert len(list(traj.glob("snapshot_t*.csv"))) == 4
+    # simulate keeps one row per distinct checkpoint, in time order
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--n", "40", "--t-max", "0", "--seeds", "1",
+                 "--out", str(sim)]) == 0
+    assert (sim / "seed_0" / "sim.csv").read_text().count("\n") == 2
+    assert (sim / "aggregate.csv").read_text().count("\n") == 2
+    assert main(["simulate", "--n", "40", "--t-max", "1", "--checkpoints",
+                 "1,0.5,1", "--seeds", "2", "--out", str(sim)]) == 0
+    for path in (sim / "seed_0" / "sim.csv", sim / "aggregate.csv"):
+        times = [float(r.split(",")[0])
+                 for r in path.read_text().splitlines()[1:]]
+        assert times == [0.5, 1.0]
+    # over a horizon below 1e-5 the default checkpoints are spaced wider
+    # than the 1e-6 resolution of the snapshot names
+    for argv, table in [
+            (["solve", "--init", "dirac:0", "--t-max", "0.000004"],
+             "trajectory.csv"),
+            (["simulate", "--n", "40", "--t-max", "0.000004"], "seed_0/sim.csv")]:
+        out = tmp_path / argv[0]
+        assert main([*argv, "--out", str(out)]) == 0
+        rows = (out / table).read_text().splitlines()[1:]
+        assert len(rows) == len(list(out.rglob("snapshot_t*.csv"))) > 1
 
 
 def test_cli_out_naming_a_file_is_an_input_error(tmp_path, capsys):
