@@ -44,7 +44,7 @@ from .errors import AccuracyError, InputError, SupercriticalError
 from .measures import (AgeMeasure, ProbabilityAgeMeasure, fixed_point_measure,
                        merge_atoms, mixture, w1)
 from .spectral import (SpectralPair, leading_eigenvalue, leading_pair,
-                       phi_of_pair, theta_at)
+                       phi_of_pair)
 
 #: |lam - 1| window treated as exactly critical
 CRIT_TOL = 1e-9
@@ -143,8 +143,12 @@ def step(state: EvolutionState, dt: float, *, merge_eps: float = 1e-6,
     new_pi = ProbabilityAgeMeasure(locs, mass)
     if merge_eps > 0.0:
         new_pi = merge_atoms(new_pi, merge_eps * dt)
-    # warm start: theta of the old pair, evaluated at the new atom ages
-    start = theta_at(pair, new_pi.locations)
+    # warm start: theta of the old pair at the new atom ages.  theta is
+    # piecewise linear between the old atoms and flat past the last one, so
+    # interpolating its atom values gives theta_at up to the eigen residual;
+    # below the first old atom the clamp only feeds the age-0 entry, which
+    # leading_pair ignores
+    start = np.interp(new_pi.locations, pi.locations, pair.theta)
     budget_gain = rate * float(
         (pi.locations * pair.theta * pi.masses).sum()) * dt
     new_state = _critical_state(

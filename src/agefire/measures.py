@@ -52,13 +52,16 @@ class AgeMeasure:
         mass = np.atleast_1d(np.asarray(self.masses, dtype=float)).ravel()
         if locs.shape != mass.shape:
             raise InputError("locations and masses must have equal length")
-        if locs.size:
-            if not (np.isfinite(locs).all() and np.isfinite(mass).all()):
-                raise InputError("locations and masses must be finite")
-            if (locs < 0).any():
-                raise InputError("atom locations must be >= 0")
-            if (mass < 0).any():
-                raise InputError("atom masses must be >= 0")
+        if not (np.isfinite(locs).all() and np.isfinite(mass).all()):
+            raise InputError("locations and masses must be finite")
+        if (locs < 0).any():
+            raise InputError("atom locations must be >= 0")
+        if (mass < 0).any():
+            raise InputError("atom masses must be >= 0")
+        if (mass > 0).all() and (locs[1:] > locs[:-1]).all():
+            # already canonical: only copy, so no caller array is aliased
+            locs, mass = locs.copy(), mass.copy()
+        else:
             order = np.argsort(locs, kind="stable")
             locs, mass = locs[order], mass[order]
             # merge exact duplicate locations

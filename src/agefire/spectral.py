@@ -31,6 +31,7 @@ slopes of that extension determine the positive part of pi, which
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -50,10 +51,22 @@ _RESID_FRAC = 1e-13
 
 
 def min_kernel_apply(locations: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """O(N) product of the min-kernel matrix with a vector (sorted input)."""
-    cum_u = np.cumsum(u)
-    cum_xu = np.cumsum(locations * u)
-    return cum_xu + locations * (cum_u[-1] - cum_u)
+    """O(N) product of the min-kernel matrix with a vector (sorted input).
+
+    Both prefix sums come from one scan over a complex buffer holding u in
+    its real part and x * u in its imaginary part.  Complex addition adds
+    the two parts separately, so the sums are bit-identical to two real
+    cumsums, at little more than the latency of one.
+    """
+    buf = np.empty(u.size, dtype=complex)
+    buf.real = u
+    np.multiply(locations, u, out=buf.imag)
+    np.cumsum(buf, out=buf)
+    cum_u, cum_xu = buf.real, buf.imag
+    out = cum_u[-1] - cum_u
+    out *= locations
+    out += cum_xu
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,9 +117,11 @@ def leading_pair(measure: AgeMeasure, *, eigen_tol: float = EIGEN_TOL,
         s = np.asarray(start, dtype=float)
         if s.shape != measure.locations.shape:
             raise InputError("start vector must align with the atoms")
+        if not np.isfinite(s).all():
+            raise InputError("start vector must be finite")
         v = np.maximum(s[-xp.size:] if has_zero_atom else s, 0.0) * d
-    norm = np.linalg.norm(v)
-    v = d / np.linalg.norm(d) if norm == 0.0 else v / norm
+    norm = math.sqrt(v @ v)
+    v = d / math.sqrt(d @ d) if norm == 0.0 else v / norm
 
     rayleigh_old = np.inf
     best_resid = np.inf
@@ -116,7 +131,7 @@ def leading_pair(measure: AgeMeasure, *, eigen_tol: float = EIGEN_TOL,
         mv = d * min_kernel_apply(xp, d * v)
         rayleigh = float(v @ mv)
         resid_sym = float(np.max(np.abs(mv - rayleigh * v)))
-        v = mv / np.linalg.norm(mv)
+        v = mv / math.sqrt(mv @ mv)
         iters += 1
         if resid_sym < 0.999 * best_resid:
             best_resid = resid_sym
@@ -161,8 +176,8 @@ def theta_at(pair: SpectralPair, s):
     piecewise linear with kinks at the atoms, and theta(0) = 0.
     """
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    if (s_arr < 0).any():
-        raise InputError("theta is defined on ages >= 0")
+    if not (np.isfinite(s_arr) & (s_arr >= 0)).all():
+        raise InputError("theta is defined on finite ages >= 0")
     x = pair.source.locations
     q = pair.theta * pair.source.masses
     cum_q = np.concatenate(([0.0], np.cumsum(q)))

@@ -56,6 +56,48 @@ def test_step_rejects_bad_input():
             af.step(state, 1e-3, **budgets)
 
 
+def _theta_at_step(state, dt, *, merge_eps=1e-6, lambda_drift_budget=1e-3):
+    """Oracle: the step warm-started from theta_at at the new atom ages."""
+    pi, pair, rate = state.pi, state.pair, state.phi
+    decayed = pi.masses * np.exp(-rate * pair.theta * dt)
+    lost = float(pi.masses.sum() - decayed.sum())
+    new_pi = af.ProbabilityAgeMeasure(np.concatenate(([0.0], pi.locations + dt)),
+                                      np.concatenate(([lost], decayed)))
+    if merge_eps > 0.0:
+        new_pi = af.merge_atoms(new_pi, merge_eps * dt)
+    start = af.theta_at(pair, new_pi.locations)
+    budget_gain = rate * float(
+        (pi.locations * pair.theta * pi.masses).sum()) * dt
+    new_state = _critical_state(state.t + dt, new_pi, start=start,
+                                speed_budget=state.speed_budget + budget_gain)
+    if new_state.lambda_drift > lambda_drift_budget:
+        raise af.AccuracyError("drift over budget")
+    return new_state
+
+
+@pytest.mark.parametrize("pi0, t_max", [
+    (af.fixed_point_measure(2000, 40.0), 1.0),
+    (af.dirac(0.0), 1.5),
+    (af.two_atom(0.5), 1.0),
+], ids=["fp2000", "dirac0", "two_atom"])
+def test_interpolated_warm_start_matches_theta_at_oracle(pi0, t_max, monkeypatch):
+    # np.interp of the atom values is theta_at up to the eigen residual, so
+    # the two warm starts give the same trajectory to rounding
+    opts = EvolveOptions(dt=1e-3)
+    traj = af.solve(pi0, t_max, opts)
+    monkeypatch.setattr(af.evolution, "step", _theta_at_step)
+    ref = af.solve(pi0, t_max, opts)
+    assert len(traj.states) == len(ref.states)
+    assert traj.t_gel == ref.t_gel
+    for got, want in zip(traj.states, ref.states):
+        assert (got.t, got.mode) == (want.t, want.mode)
+        assert np.array_equal(got.pi.locations, want.pi.locations)
+        np.testing.assert_allclose(got.pi.masses, want.pi.masses,
+                                   rtol=1e-10, atol=0.0)
+        assert abs(got.lam - want.lam) <= 1e-13
+        assert abs(got.phi - want.phi) <= 1e-13
+
+
 # ---------------------------------------------------------------------------
 # gelation
 # ---------------------------------------------------------------------------

@@ -72,6 +72,52 @@ def test_measures_are_immutable():
         m.locations[0] = 3.0
 
 
+def _sorted_canonical(locs, mass):
+    """Oracle: stable sort, sum exact duplicates, drop zero masses."""
+    order = np.argsort(locs, kind="stable")
+    locs, mass = locs[order], mass[order]
+    keys, starts = np.unique(locs, return_index=True)
+    mass = np.add.reduceat(mass, starts)
+    return keys[mass > 0], mass[mass > 0]
+
+
+def test_canonical_input_is_copied_and_frozen():
+    for n in (0, 1, 2, 500):
+        locs = np.cumsum(np.full(n, 0.25))
+        mass = np.linspace(1.0, 2.0, n)
+        m = af.AgeMeasure(locs, mass)
+        for stored, given in ((m.locations, locs), (m.masses, mass)):
+            assert not np.shares_memory(stored, given)
+            assert not stored.flags.writeable and given.flags.writeable
+            with pytest.raises(ValueError):
+                stored[...] = 7.0
+        before = (m.locations.copy(), m.masses.copy())
+        locs[...] = 3.0
+        mass[...] = -1.0
+        assert np.array_equal(m.locations, before[0])
+        assert np.array_equal(m.masses, before[1])
+
+
+def test_constructor_canonical_form_matches_sorting_oracle():
+    rng = np.random.default_rng(41)
+    for case in range(200):
+        n = int(rng.integers(1, 60))
+        locs = rng.choice(np.linspace(0.0, 5.0, 11 if case % 2 else 10_000), n)
+        mass = rng.uniform(0.0, 1.0, n)
+        if case % 3 == 0:
+            mass[rng.integers(n)] = 0.0
+        if case % 4 == 0:  # already canonical: the copy-only path
+            locs, mass = _sorted_canonical(locs, mass)
+        elif case % 4 == 1:  # sorted, but with ties
+            locs = np.sort(locs)
+        m = af.AgeMeasure(locs, mass)
+        want = _sorted_canonical(locs, mass)
+        assert np.array_equal(m.locations, want[0])
+        assert np.array_equal(m.masses, want[1])
+    m = af.AgeMeasure([3.0, 1.0, 3.0, 2.0, 1.0], [0.25, 0.5, 0.0, 0.0, 0.25])
+    assert (m.locations.tolist(), m.masses.tolist()) == ([1.0, 3.0], [0.75, 0.25])
+
+
 # ---------------------------------------------------------------------------
 # presets
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import agefire as af
-from agefire.spectral import min_kernel_apply
+from agefire.spectral import (EIGEN_TOL, MAX_ITERS, _RESID_FRAC,
+                              _positive_part, min_kernel_apply)
 from agefire.validation import random_probability_measure
 
 
@@ -56,6 +57,22 @@ def test_degenerate_measure_rejected():
     assert af.leading_eigenvalue(af.dirac(0.0)) == 0.0
 
 
+def test_bad_start_rejected_before_the_first_sweep(monkeypatch):
+    m = af.fixed_point_measure(200, 40.0)
+    sweeps = []
+    monkeypatch.setattr(af.spectral, "min_kernel_apply",
+                        lambda x, u: sweeps.append(1) or min_kernel_apply(x, u))
+    for bad in (math.nan, math.inf, -math.inf):
+        start = np.ones(m.n_atoms)
+        start[57] = bad
+        with pytest.raises(af.InputError, match="finite"):
+            af.leading_pair(m, start=start)
+    with pytest.raises(af.InputError, match="align"):
+        af.leading_pair(m, start=np.ones(m.n_atoms + 1))
+    assert sweeps == []
+    assert af.leading_pair(m, start=np.ones(m.n_atoms)).iterations == len(sweeps) - 1
+
+
 def test_iteration_limit_error_reports_residual():
     m = af.three_atom(50)  # slow eigen gap, cannot converge in 2 sweeps
     with pytest.raises(af.IterationLimitError) as err:
@@ -90,6 +107,89 @@ def test_matches_dense_eigensolver_oracle():
         np.testing.assert_allclose(pair.theta[pos], theta_o, rtol=1e-7, atol=1e-9)
 
 
+def _two_scan_min_kernel_apply(locations, u):
+    """Oracle: the kernel product with one real cumsum per prefix sum."""
+    cum_u = np.cumsum(u)
+    cum_xu = np.cumsum(locations * u)
+    return cum_xu + locations * (cum_u[-1] - cum_u)
+
+
+def _oracle_leading_pair(measure, *, eigen_tol=EIGEN_TOL, max_iters=MAX_ITERS,
+                         start=None):
+    """Oracle: the power loop with two-scan products and np.linalg.norm."""
+    xp, wp, has_zero_atom = _positive_part(measure)
+    d = np.sqrt(wp)
+    if start is None:
+        v = d.copy()
+    else:
+        s = np.asarray(start, dtype=float)
+        v = np.maximum(s[-xp.size:] if has_zero_atom else s, 0.0) * d
+    norm = np.linalg.norm(v)
+    v = d / np.linalg.norm(d) if norm == 0.0 else v / norm
+    rayleigh_old = np.inf
+    best_resid = np.inf
+    stalled = 0
+    iters = 0
+    while True:
+        mv = d * _two_scan_min_kernel_apply(xp, d * v)
+        rayleigh = float(v @ mv)
+        resid_sym = float(np.max(np.abs(mv - rayleigh * v)))
+        v = mv / np.linalg.norm(mv)
+        iters += 1
+        if resid_sym < 0.999 * best_resid:
+            best_resid = resid_sym
+            stalled = 0
+        else:
+            stalled += 1
+        rq_done = abs(rayleigh - rayleigh_old) < eigen_tol * max(1.0, abs(rayleigh))
+        resid_done = resid_sym <= _RESID_FRAC * abs(rayleigh) or stalled > 40
+        if (rq_done and resid_done) or iters >= max_iters:
+            break
+        rayleigh_old = rayleigh
+    lam = rayleigh
+    theta_pos = np.maximum(v, 0.0) / d
+    theta_pos /= float(theta_pos @ wp)
+    residual = float(np.max(np.abs(
+        lam * theta_pos - _two_scan_min_kernel_apply(xp, theta_pos * wp))))
+    theta = np.concatenate(([0.0], theta_pos)) if has_zero_atom else theta_pos
+    return lam, theta, residual, iters
+
+
+def test_min_kernel_apply_equals_two_scan_oracle():
+    rng = np.random.default_rng(23)
+    cases = [(np.array([2.5]), np.array([-1.25])),
+             (np.array([0.0]), np.array([3.0])),
+             (np.array([0.0, 0.5, 4.0]), rng.normal(size=3))]
+    for n in (2, 7, 100, 1000, 2500, 5000):
+        x = np.sort(rng.exponential(rng.uniform(0.5, 20.0), size=n))
+        if n % 2:
+            x[0] = 0.0  # an atom at age 0
+        cases.append((x, rng.normal(size=n)))
+        cases.append((x, rng.uniform(0.0, 1e-3, size=n)))
+    for x, u in cases:
+        got = min_kernel_apply(x, u)
+        assert got.dtype == np.float64 and got.shape == u.shape
+        assert np.array_equal(got, _two_scan_min_kernel_apply(x, u))
+
+
+def test_leading_pair_equals_oracle_power_loop():
+    rng = np.random.default_rng(29)
+    measures = [af.dirac(1.0), af.two_atom(0.5), af.three_atom(10),
+                af.fixed_point_measure(500, 40.0)]
+    measures += [random_probability_measure(rng, max_atoms=300)
+                 for _ in range(25)]
+    for m in measures:
+        cold = af.leading_pair(m)
+        starts = [None, cold.theta,
+                  cold.theta * rng.uniform(0.9, 1.1, size=m.n_atoms)]
+        for start in starts:
+            pair = af.leading_pair(m, start=start)
+            lam, theta, residual, iters = _oracle_leading_pair(m, start=start)
+            assert pair.lam == lam and pair.iterations == iters
+            assert np.array_equal(pair.theta, theta)
+            assert pair.residual == residual
+
+
 def test_min_kernel_apply_matches_dense():
     rng = np.random.default_rng(5)
     x = np.sort(rng.uniform(0, 10, size=37))
@@ -113,8 +213,9 @@ def test_theta_at_examples():
     assert abs(af.theta_at(pair, 1.0) - 1.0) < 1e-12
     assert af.theta_at(pair, 0.0) == 0.0
     assert abs(af.theta_at(pair, 10.0) - 2.0) < 1e-12
-    with pytest.raises(af.InputError):
-        af.theta_at(pair, -0.5)
+    for age in (-0.5, math.nan, math.inf, np.array([0.5, math.nan, 2.0])):
+        with pytest.raises(af.InputError):
+            af.theta_at(pair, age)
 
 
 def test_theta_extension_shape():
