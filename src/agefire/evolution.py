@@ -119,10 +119,10 @@ def _critical_state(t, pi, *, mode="critical", speed_budget=0.0, start=None):
         lambda_drift=abs(pair.lam - 1.0), speed_budget=speed_budget)
 
 
-def _check_budgets(merge_eps: float, lambda_drift_budget: float) -> None:
-    """A NaN budget would silently switch merging or the drift audit off."""
-    for name, value in (("merge_eps", merge_eps),
-                        ("lambda_drift_budget", lambda_drift_budget)):
+def _check_budgets(**budgets: float) -> None:
+    """A NaN or negative budget or tolerance would silently switch merging,
+    an audit or the criticality test off."""
+    for name, value in budgets.items():
         if not value >= 0:
             raise InputError(f"{name} must be >= 0, got {value!r}")
 
@@ -132,7 +132,7 @@ def step(state: EvolutionState, dt: float, *, merge_eps: float = 1e-6,
     """Advance one critical step of size dt (transport, decay, rebirth)."""
     if dt <= 0:
         raise InputError("dt must be positive")
-    _check_budgets(merge_eps, lambda_drift_budget)
+    _check_budgets(merge_eps=merge_eps, lambda_drift_budget=lambda_drift_budget)
     if state.pair is None or state.mode != "critical":
         raise InputError("step() requires a critical-mode state")
     pi, pair, rate = state.pi, state.pair, state.phi
@@ -164,44 +164,48 @@ def step(state: EvolutionState, dt: float, *, merge_eps: float = 1e-6,
 
 def gelation_time(pi0: AgeMeasure, tol: float = 1e-9,
                   crit_tol: float = CRIT_TOL) -> float:
-    """First time t with lam(translate(pi0, t)) = 1, by scan plus bisection.
+    """First time t with lam(translate(pi0, t)) = 1, in closed form.
 
-    Returns 0 for critical initial data; rejects supercritical data.  The
-    eigenvalue grows without bound under translation (it dominates
-    (x + t) * tail mass), so a finite bracket always exists.  A coarse
-    forward scan locates the first sign change before bisecting, which
-    keeps the answer right even if the eigenvalue were not monotone in t.
+    Translating every age by t adds t to every x_i ^ x_j, so the symmetrized
+    kernel of the translate is K0 + t * d d^T with d = sqrt(w).  For
+    lam(K0) < 1 the eigenvalue rises continuously with t and reaches 1 at
+    exactly one time,
+
+        t_gel = 1 / d^T (I - K0)^{-1} d.
+
+    Writing (I - K0)^{-1} d = d * y gives y = 1 + g, where g(0) = 0, g is
+    linear between atoms, its slope drops by w_i * y_i at atom i and is 0
+    past the last atom; its slope at 0 is sigma = integral(y dpi) = 1 / t_gel.
+    One forward pass over the atoms carries g and its slope as affine
+    functions of sigma, and the vanishing final slope fixes sigma.
+
+    Returns 0 for critical initial data (|lam - 1| <= crit_tol) and rejects
+    supercritical data.  ``tol`` audits the result: a cold eigen-solve of the
+    translate must give |lam - 1| <= tol, else AccuracyError.
     """
+    _check_budgets(tol=tol, crit_tol=crit_tol)
     lam0 = leading_eigenvalue(pi0)
     if lam0 > 1.0 + crit_tol:
         raise SupercriticalError(
-            f"initial eigenvalue {lam0:.6f} > 1; gelation already happened")
+            f"initial eigenvalue {lam0:.9f} > 1; gelation already happened")
     if abs(lam0 - 1.0) <= crit_tol:
         return 0.0
-    hi = 1.0
-    while leading_eigenvalue(pi0.translate(hi)) < 1.0:
-        hi *= 2.0
-        if hi > 1e12:
-            raise AccuracyError("failed to bracket the gelation time")
-    # first crossing on a coarse grid, then bisect inside that cell
-    grid = np.linspace(0.0, hi, 65)
-    lo = 0.0
-    for a, b in zip(grid[:-1], grid[1:]):
-        if leading_eigenvalue(pi0.translate(b)) >= 1.0:
-            lo, hi = a, b
-            break
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        lam = leading_eigenvalue(pi0.translate(mid))
-        if abs(lam - 1.0) <= tol:
-            return mid
-        if lam < 1.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-16 * max(1.0, hi):
-            return 0.5 * (lo + hi)
-    return 0.5 * (lo + hi)
+    # g = g0 + g1 * sigma and its slope s0 + s1 * sigma at the current atom
+    g0 = g1 = s0 = x_prev = 0.0
+    s1 = 1.0
+    for x, w in zip(pi0.locations.tolist(), pi0.masses.tolist()):
+        g0 += s0 * (x - x_prev)
+        g1 += s1 * (x - x_prev)
+        s0 -= w * (1.0 + g0)
+        s1 -= w * g1
+        x_prev = x
+    t_gel = -s1 / s0  # the final slope s0 + s1 / t_gel vanishes
+    lam = leading_eigenvalue(pi0.translate(t_gel)) if t_gel > 0 else math.nan
+    if not abs(lam - 1.0) <= tol:
+        raise AccuracyError(
+            f"gelation time {t_gel!r} gives lam = {lam!r}, "
+            f"not within {tol:.1e} of 1")
+    return t_gel
 
 
 def solve(pi0: ProbabilityAgeMeasure, t_max: float,
@@ -212,13 +216,15 @@ def solve(pi0: ProbabilityAgeMeasure, t_max: float,
     time and then switch to critical stepping; critical data step from
     t = 0.  Supercritical data are rejected.  The degenerate monodisperse
     start (all mass at age 0) is admitted: it is subcritical with gelation
-    time computed on its translates.
+    time 1.
     """
     if not (math.isfinite(t_max) and t_max >= 0):
         raise InputError("t_max must be finite and >= 0")
     if not (math.isfinite(opts.dt) and opts.dt > 0):
         raise InputError("dt must be finite and > 0")
-    _check_budgets(opts.merge_eps, opts.lambda_drift_budget)
+    _check_budgets(merge_eps=opts.merge_eps,
+                   lambda_drift_budget=opts.lambda_drift_budget,
+                   gel_tol=opts.gel_tol, crit_tol=opts.crit_tol)
     pi0 = pi0.as_probability()
     cps_src = opts.checkpoints if opts.checkpoints is not None \
         else even_checkpoints(t_max, 10)
@@ -231,16 +237,10 @@ def solve(pi0: ProbabilityAgeMeasure, t_max: float,
     cps = sorted(set(cps))
     check_snapshot_names(cps)
 
-    lam0 = leading_eigenvalue(pi0)
-    if lam0 > 1.0 + opts.crit_tol:
-        raise SupercriticalError(
-            f"initial data is age-supercritical (lam = {lam0:.9f}); "
-            "the dynamics are defined only up to criticality")
-
+    t_gel = gelation_time(pi0, tol=opts.gel_tol, crit_tol=opts.crit_tol)
     states: list[EvolutionState] = []
     switch_jump = None
-    if lam0 < 1.0 - opts.crit_tol:
-        t_gel = gelation_time(pi0, tol=opts.gel_tol, crit_tol=opts.crit_tol)
+    if t_gel > 0:
         # keep the switch instant as a checkpoint unless one already sits
         # within the gelation tolerance of it or writes its snapshot file
         minsep = max(1e-9, 2.0 * opts.gel_tol)
@@ -251,8 +251,7 @@ def solve(pi0: ProbabilityAgeMeasure, t_max: float,
             cps = sorted(cps + [t_gel])
         for c in [c for c in cps if c <= min(t_gel, t_max) + 1e-12]:
             pi_c = pi0.translate(c)
-            lam_c = leading_eigenvalue(pi_c)
-            pair_c = leading_pair(pi_c) if lam_c > 0 else None
+            pair_c = leading_pair(pi_c) if pi_c.locations[-1] > 0 else None
             states.append(EvolutionState(
                 t=c, pi=pi_c, pair=pair_c, phi=0.0, mode="transport"))
         if t_gel >= t_max - 1e-12:
@@ -264,7 +263,6 @@ def solve(pi0: ProbabilityAgeMeasure, t_max: float,
         # otherwise a regular checkpoint sits at the switch: record it there
         remaining = [c for c in cps if c > t_gel + 1e-12]
     else:
-        t_gel = 0.0
         state = _critical_state(0.0, pi0)
         states.append(state)
         remaining = [c for c in cps if c > 1e-12]

@@ -7,6 +7,7 @@ import pytest
 
 import agefire as af
 from agefire.evolution import EvolveOptions, _critical_state
+from agefire.validation import random_probability_measure
 
 
 def small_fixed_point():
@@ -103,8 +104,9 @@ def test_interpolated_warm_start_matches_theta_at_oracle(pi0, t_max, monkeypatch
 # ---------------------------------------------------------------------------
 
 def test_gelation_monodisperse():
-    t_gel = af.gelation_time(af.dirac(0.0))
-    assert abs(t_gel - 1.0) <= 1e-6
+    # lam(dirac(a)) = a, so the translate is critical at t = 1 - a exactly
+    for a, want in ((0.0, 1.0), (0.3, 0.7)):
+        assert abs(af.gelation_time(af.dirac(a)) - want) <= 1e-15
 
 
 def test_gelation_critical_start_is_zero():
@@ -131,6 +133,76 @@ def test_gelation_against_grid_scan_oracle():
     k = int(np.argmax(lams >= 1.0))
     assert grid[k - 1] <= t_star <= grid[k]
     assert abs(lam_at(t_star) - 1.0) < 1e-11
+
+
+def _dense_gelation_time(pi):
+    """Oracle: 1 / d^T (I - K0)^{-1} d from a dense solve, d = sqrt(w)."""
+    x, w = pi.locations, pi.masses
+    d = np.sqrt(w)
+    k0 = d[:, None] * np.minimum.outer(x, x) * d[None, :]
+    return 1.0 / float(d @ np.linalg.solve(np.eye(x.size) - k0, d))
+
+
+def _scaled_to(pi, lam):
+    """pi with every age scaled so that its eigenvalue is lam."""
+    return af.ProbabilityAgeMeasure(
+        pi.locations * (lam / af.leading_eigenvalue(pi)), pi.masses)
+
+
+_FP = af.fixed_point_measure(2000, 40.0)
+_GELATION_STARTS = {
+    "dirac0": af.dirac(0.0),
+    "dirac0.3": af.dirac(0.3),
+    "half_at_zero": af.from_atoms([(0.0, 0.5), (1.0, 0.5)]).as_probability(),
+    "fp_x0.99": af.ProbabilityAgeMeasure(_FP.locations * 0.99, _FP.masses),
+    "fp_x0.5": af.ProbabilityAgeMeasure(_FP.locations * 0.5, _FP.masses),
+    "fp_1pct_at_zero": af.mixture(
+        [(0.99, _FP), (0.01, af.dirac(0.0))]).as_probability(),
+    **{f"random{seed}": _scaled_to(
+        random_probability_measure(np.random.default_rng(seed)), 0.5)
+       for seed in range(5)},
+}
+
+
+@pytest.mark.parametrize("pi0", _GELATION_STARTS.values(),
+                         ids=_GELATION_STARTS.keys())
+def test_gelation_matches_dense_solve_oracle(pi0):
+    t_gel = af.gelation_time(pi0)
+    want = _dense_gelation_time(pi0)
+    assert abs(t_gel - want) <= 1e-12 * want
+    assert abs(af.leading_eigenvalue(pi0.translate(t_gel)) - 1.0) <= 1e-12
+
+
+def test_gelation_audit_rejects_a_missed_root(monkeypatch):
+    pi0 = af.dirac(0.3)
+    exact = af.leading_eigenvalue
+    monkeypatch.setattr(af.evolution, "leading_eigenvalue",
+                        lambda m: exact(m) if m is pi0 else 1.0 + 1e-6)
+    with pytest.raises(af.AccuracyError):
+        af.gelation_time(pi0, tol=1e-9)
+    assert af.gelation_time(pi0, tol=1e-5) == 0.7
+
+
+def test_gelation_at_the_rounding_floor_is_an_accuracy_error():
+    # with crit_tol = 0, a start within rounding of criticality can give a
+    # closed form t_gel <= 0; that is reported, not translated to the left
+    for eps in (1e-14, 1e-15, 3e-16):
+        pi0 = _scaled_to(_FP, 1.0 - eps)
+        try:
+            t_gel = af.gelation_time(pi0, crit_tol=0.0)
+        except (af.AccuracyError, af.SupercriticalError):
+            continue
+        assert t_gel >= 0.0
+        assert abs(af.leading_eigenvalue(pi0.translate(t_gel)) - 1.0) <= 1e-9
+
+
+@pytest.mark.parametrize("tols", [
+    {"tol": math.nan}, {"tol": -1e-9},
+    {"crit_tol": math.nan}, {"crit_tol": -1e-9},
+])
+def test_gelation_rejects_bad_tolerances(tols):
+    with pytest.raises(af.InputError):
+        af.gelation_time(af.dirac(0.0), **tols)
 
 
 # ---------------------------------------------------------------------------
@@ -205,12 +277,16 @@ def test_solve_checkpoint_validation():
     (0.1, {"lambda_drift_budget": -1e-3}),
     (0.1, {"checkpoints": [0.05, math.nan]}),
     (0.1, {"checkpoints": [0.0, math.inf]}),
+    (0.1, {"gel_tol": math.nan}), (0.1, {"gel_tol": -1e-9}),
+    (0.1, {"crit_tol": math.nan}), (0.1, {"crit_tol": -1e-9}),
 ])
 def test_solve_rejects_non_finite_time_and_step(t_max, opts):
-    # a float is the step dt; a dict sets other options
+    # a float is the step dt; a dict sets another option, which the
+    # message names
+    key = next(iter(opts)) if isinstance(opts, dict) else None
     opts = EvolveOptions(**opts) if isinstance(opts, dict) \
         else EvolveOptions(dt=opts)
-    with pytest.raises(af.InputError):
+    with pytest.raises(af.InputError, match=key):
         af.solve(af.two_atom(0.5), t_max, opts)
 
 

@@ -312,8 +312,8 @@ def test_cli_solve_and_gel_reject_bad_input(tmp_path, capsys, argv, config,
 
 
 def test_cli_each_row_has_its_own_snapshot(tmp_path):
-    # the gelation switch at t = 1 - 1e-9 is not recorded beside a
-    # checkpoint with the same snapshot name
+    # the gelation switch at t = 1 is not recorded beside a checkpoint
+    # with the same snapshot name
     traj = tmp_path / "traj"
     assert main(["solve", "--init", "dirac:0", "--t-max", "1.01",
                  "--checkpoints", "0.5,1.0000004,1.01", "--out", str(traj)]) == 0
