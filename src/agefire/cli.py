@@ -185,8 +185,8 @@ def cmd_solve(args) -> int:
             lambda_drift_budget=config["lambda_drift_budget"]))
     except SupercriticalError as exc:
         raise InputError(f"init: {exc}") from None
-    reference = pi0 if config["init"].startswith(("fixedpoint", "fixed_point")) \
-        else ms.fixed_point_measure()
+    preset = ms.preset_name(config["init"].partition(":")[0])
+    reference = pi0 if preset == "fixedpoint" else ms.fixed_point_measure()
     out = _open_out(config)
     ev.write_trajectory(traj, out, reference=reference)
     drift = max(s.lambda_drift for s in traj.states if s.mode == "critical") \

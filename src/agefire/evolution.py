@@ -9,9 +9,9 @@ concentrated on old ages because theta is increasing), and the removed
 mass is reinjected at age 0 (burned vertices survive with age reset).
 
 For subcritical initial data (lam < 1) burning is absent and the solution
-is a pure translate of the initial measure until the gelation time, the
-root of lam(translate(pi_0, t)) = 1; from then on the critical dynamics
-take over.  Along critical trajectories lam_t stays pinned at 1 by itself;
+is a pure translate of the initial measure until the gelation time t_gel,
+when lam(translate(pi_0, t)) reaches 1; critical data gel at t_gel = 0.
+From that one critical measure on, lam_t stays pinned at 1 by itself;
 the integrator never projects onto the critical manifold, so the measured
 drift |lam_t - 1| is a direct estimate of the splitting error and is
 audited against a budget at every step.
@@ -112,10 +112,11 @@ class Trajectory:
         raise InputError(f"no checkpoint at t = {t}")
 
 
-def _critical_state(t, pi, *, mode="critical", speed_budget=0.0, start=None):
-    pair = leading_pair(pi, start=start)
+def _critical_state(t, pi, *, speed_budget=0.0, start=None, pair=None):
+    """The critical-mode state of pi; ``pair`` is its eigenpair if known."""
+    pair = leading_pair(pi, start=start) if pair is None else pair
     return EvolutionState(
-        t=t, pi=pi, pair=pair, phi=phi_of_pair(pair), mode=mode,
+        t=t, pi=pi, pair=pair, phi=phi_of_pair(pair), mode="critical",
         lambda_drift=abs(pair.lam - 1.0), speed_budget=speed_budget)
 
 
@@ -183,13 +184,22 @@ def gelation_time(pi0: AgeMeasure, tol: float = 1e-9,
     supercritical data.  ``tol`` audits the result: a cold eigen-solve of the
     translate must give |lam - 1| <= tol, else AccuracyError.
     """
+    return _gelation(pi0, tol, crit_tol)[0]
+
+
+def _gelation(pi0: AgeMeasure, tol: float, crit_tol: float):
+    """:func:`gelation_time` and the pairs it solved: that of pi0 (None for
+    delta_0) and that of the critical measure at t_gel (the same for a
+    critical pi0, else the audit pair of the translate)."""
     _check_budgets(tol=tol, crit_tol=crit_tol)
-    lam0 = leading_eigenvalue(pi0)
+    # delta_0 has lam = 0 and no eigenpair; any positive atom gives one
+    pair0 = leading_pair(pi0) if pi0.locations[-1:].any() else None
+    lam0 = pair0.lam if pair0 is not None else 0.0
     if lam0 > 1.0 + crit_tol:
         raise SupercriticalError(
             f"initial eigenvalue {lam0:.9f} > 1; gelation already happened")
     if abs(lam0 - 1.0) <= crit_tol:
-        return 0.0
+        return 0.0, pair0, pair0
     # g = g0 + g1 * sigma and its slope s0 + s1 * sigma at the current atom
     g0 = g1 = s0 = x_prev = 0.0
     s1 = 1.0
@@ -200,23 +210,26 @@ def gelation_time(pi0: AgeMeasure, tol: float = 1e-9,
         s1 -= w * g1
         x_prev = x
     t_gel = -s1 / s0  # the final slope s0 + s1 / t_gel vanishes
-    lam = leading_eigenvalue(pi0.translate(t_gel)) if t_gel > 0 else math.nan
+    pair = leading_pair(pi0.translate(t_gel)) if t_gel > 0 else None
+    lam = pair.lam if pair is not None else math.nan
     if not abs(lam - 1.0) <= tol:
         raise AccuracyError(
             f"gelation time {t_gel!r} gives lam = {lam!r}, "
             f"not within {tol:.1e} of 1")
-    return t_gel
+    return t_gel, pair0, pair
 
 
 def solve(pi0: ProbabilityAgeMeasure, t_max: float,
           opts: EvolveOptions = EvolveOptions()) -> Trajectory:
     """Solve the age dynamics from pi0 up to t_max, recording checkpoints.
 
-    Subcritical initial data evolve by pure transport up to the gelation
-    time and then switch to critical stepping; critical data step from
-    t = 0.  Supercritical data are rejected.  The degenerate monodisperse
-    start (all mass at age 0) is admitted: it is subcritical with gelation
-    time 1.
+    Checkpoints before the gelation time t_gel are transport rows (translates
+    of pi0, phi = 0), those after it critical rows stepped from the switch
+    row: pi0.translate(t_gel) with the pair the gelation audit solved.  The
+    switch row is recorded unless a checkpoint more than 1e-12 away writes
+    its snapshot name; a checkpoint within 1e-12 of t_gel is the switch row.
+    Supercritical data are rejected; critical data switch at t = 0, and the
+    degenerate start (all mass at age 0) is subcritical with t_gel = 1.
     """
     if not (math.isfinite(t_max) and t_max >= 0):
         raise InputError("t_max must be finite and >= 0")
@@ -235,46 +248,29 @@ def solve(pi0: ProbabilityAgeMeasure, t_max: float,
         if not any(abs(c - bound) <= 1e-12 for c in cps):
             cps.append(bound)
     cps = sorted(set(cps))
-    check_snapshot_names(cps)
+    names = check_snapshot_names(cps)
 
-    t_gel = gelation_time(pi0, tol=opts.gel_tol, crit_tol=opts.crit_tol)
+    t_gel, pair0, pair = _gelation(pi0, opts.gel_tol, opts.crit_tol)
     states: list[EvolutionState] = []
-    switch_jump = None
-    if t_gel > 0:
-        # keep the switch instant as a checkpoint unless one already sits
-        # within the gelation tolerance of it or writes its snapshot file
-        minsep = max(1e-9, 2.0 * opts.gel_tol)
-        name = snapshot_filename(t_gel)
-        if minsep < t_gel < t_max - minsep and not any(
-                abs(c - t_gel) <= minsep or snapshot_filename(c) == name
-                for c in cps):
-            cps = sorted(cps + [t_gel])
-        for c in [c for c in cps if c <= min(t_gel, t_max) + 1e-12]:
-            pi_c = pi0.translate(c)
-            pair_c = leading_pair(pi_c) if pi_c.locations[-1] > 0 else None
+    for c in cps:
+        if c < t_gel - 1e-12:
+            pi_c = pi0.translate(c) if c > 0 else pi0
             states.append(EvolutionState(
-                t=c, pi=pi_c, pair=pair_c, phi=0.0, mode="transport"))
-        if t_gel >= t_max - 1e-12:
-            return Trajectory(tuple(states), t_gel=t_gel)
-        state = _critical_state(t_gel, pi0.translate(t_gel))
-        switch_jump = abs(state.lam - 1.0)
-        if abs(states[-1].t - t_gel) <= 1e-12:
-            states[-1] = state
-        # otherwise a regular checkpoint sits at the switch: record it there
-        remaining = [c for c in cps if c > t_gel + 1e-12]
-    else:
-        state = _critical_state(0.0, pi0)
-        states.append(state)
-        remaining = [c for c in cps if c > 1e-12]
-
-    for target in remaining:
+                t=c, pi=pi_c, mode="transport", phi=0.0,
+                pair=leading_pair(pi_c) if c > 0 else pair0))
+    state = switch = _critical_state(t_gel, pair.source, pair=pair)
+    t_named = names.get(snapshot_filename(t_gel), t_gel)
+    if t_gel <= t_max + 1e-12 and abs(t_named - t_gel) <= 1e-12:
+        states.append(switch)
+    for target in [c for c in cps if c > t_gel + 1e-12]:
         while target - state.t > 1e-12:
             h = min(opts.dt, target - state.t)
             state = step(state, h, merge_eps=opts.merge_eps,
                          lambda_drift_budget=opts.lambda_drift_budget)
         state = replace(state, t=target)  # absorb <=1e-12 rounding in t
         states.append(state)
-    return Trajectory(tuple(states), t_gel=t_gel, switch_lambda_jump=switch_jump)
+    return Trajectory(tuple(states), t_gel=t_gel,
+                      switch_lambda_jump=switch.lambda_drift)
 
 
 # ---------------------------------------------------------------------------
@@ -462,15 +458,17 @@ def even_checkpoints(t_max: float, intervals: int) -> list[float]:
     return np.linspace(0.0, t_max, k + 1).tolist()
 
 
-def check_snapshot_names(times: Sequence[float]) -> None:
-    """Raise InputError when two of the times would write the same
-    snapshot file, which would silently keep only the later state."""
+def check_snapshot_names(times: Sequence[float]) -> dict[str, float]:
+    """Map each snapshot name to the one time that writes it; raise
+    InputError when two of the times would write the same snapshot file,
+    which would silently keep only the later state."""
     seen: dict[str, float] = {}
     for t in times:
         other = seen.setdefault(snapshot_filename(t), t)
         if other != t:
             raise InputError(f"checkpoints {other:.12g} and {t:.12g} share "
                              f"the snapshot name {snapshot_filename(t)}")
+    return seen
 
 
 def write_trajectory(traj: Trajectory, out_dir,

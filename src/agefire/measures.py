@@ -253,12 +253,16 @@ def fixed_point_measure(n_atoms: int = 2000,
 _PRESETS = {
     "dirac": dirac,
     "twoatom": two_atom,
-    "two_atom": two_atom,
     "threeatom": three_atom,
-    "three_atom": three_atom,
     "fixedpoint": fixed_point_measure,
-    "fixed_point": fixed_point_measure,
 }
+
+
+def preset_name(name: str) -> str:
+    """A preset name as the preset table spells it: lower case, without
+    ``-`` or ``_``, so ``"Fixed-Point"`` and ``"fixed_point"`` both read
+    ``"fixedpoint"``."""
+    return name.lower().replace("-", "").replace("_", "")
 
 
 def from_named(preset: str, *params: float) -> ProbabilityAgeMeasure:
@@ -266,7 +270,8 @@ def from_named(preset: str, *params: float) -> ProbabilityAgeMeasure:
     fixed_point(n_atoms, truncation).
 
     Also accepts compact preset strings like ``"twoatom:0.5"`` or
-    ``"fixedpoint:2000,40"`` (used by the CLI).
+    ``"fixedpoint:2000,40"`` (used by the CLI).  Names are read through
+    :func:`preset_name`.
     """
     name = preset
     if ":" in preset and not params:
@@ -276,10 +281,10 @@ def from_named(preset: str, *params: float) -> ProbabilityAgeMeasure:
         except ValueError:
             raise InputError(f"bad parameters for preset {name!r}: {arg!r} "
                              "is not a comma-separated list of numbers") from None
-    builder = _PRESETS.get(name.lower().replace("-", "_"))
+    builder = _PRESETS.get(preset_name(name))
     if builder is None:
         raise InputError(f"unknown preset {preset!r}; "
-                         f"choose from {sorted(set(_PRESETS))}")
+                         f"choose from {sorted(_PRESETS)}")
     if builder is fixed_point_measure and params:
         if not math.isfinite(params[0]):
             raise InputError("fixed_point requires a finite atom count")

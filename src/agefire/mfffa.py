@@ -299,17 +299,9 @@ def run(graph: FireGraph, lambda_n: float, t_max: float,
     rate_edge = 0.5 * n * (n - 1) * (1.0 / n)   # candidate pairs, rate 1/n each
     rate_fire = n * lambda_n
     rate_total = rate_edge + rate_fire
-    if rate_total == 0.0:  # single vertex, no lightning: nothing ever happens
-        records = []
-        for c in cps:
-            graph.t = c
-            records.append(SimRecord(
-                t=c, n=n, age_measure=empirical_age_measure(graph),
-                cluster_hist=cluster_sizes(graph), burn_events=0,
-                burned_vertices=0, phi_hat_window=0.0))
-        graph.t = t_max
-        return records
-    p_edge = rate_edge / rate_total
+    # a single vertex without lightning has no events: the first event time
+    # is infinite, so every checkpoint is emitted and nothing is drawn
+    p_edge = rate_edge / rate_total if rate_total else 0.0
     bits = rng.bit_generator.ctypes
     next_u32, next_double, state = (bits.next_uint32, bits.next_double,
                                     bits.state_address)
@@ -335,7 +327,8 @@ def run(graph: FireGraph, lambda_n: float, t_max: float,
         prev_cp_t, prev_cp_burned = cp_t, burned_vertices
 
     while True:
-        t_next = graph.t + rng.exponential(1.0 / rate_total)
+        t_next = graph.t + rng.exponential(1.0 / rate_total) \
+            if rate_total else math.inf
         while next_cp < len(cps) and cps[next_cp] <= t_next:
             emit(cps[next_cp])
             next_cp += 1

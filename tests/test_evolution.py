@@ -1,6 +1,7 @@
 """Integrator, gelation, audits, and the stability/Lyapunov experiments."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -175,9 +176,9 @@ def test_gelation_matches_dense_solve_oracle(pi0):
 
 def test_gelation_audit_rejects_a_missed_root(monkeypatch):
     pi0 = af.dirac(0.3)
-    exact = af.leading_eigenvalue
-    monkeypatch.setattr(af.evolution, "leading_eigenvalue",
-                        lambda m: exact(m) if m is pi0 else 1.0 + 1e-6)
+    exact = af.leading_pair
+    monkeypatch.setattr(af.evolution, "leading_pair", lambda m: exact(m)
+                        if m is pi0 else replace(exact(m), lam=1.0 + 1e-6))
     with pytest.raises(af.AccuracyError):
         af.gelation_time(pi0, tol=1e-9)
     assert af.gelation_time(pi0, tol=1e-5) == 0.7
@@ -258,6 +259,63 @@ def test_solve_subcritical_composite_start():
     assert end.mode == "critical"
     assert end.lambda_drift <= 1e-3
     assert traj.switch_lambda_jump <= 1e-9
+
+
+@pytest.mark.parametrize("checkpoints, gel_tol, rows", [
+    # gel_tol bounds |lam - 1|, not a distance in time: a checkpoint 0.01
+    # before the switch does not hide it
+    ([0.0, 0.99, 1.5], 1e-2, [(0.0, "transport"), (0.99, "transport"),
+                              (1.0, "critical"), (1.5, "critical")]),
+    # a checkpoint writing the switch's snapshot name takes its place
+    ([0.0, 1.0 + 1e-7, 1.5], 1e-9, [(0.0, "transport"),
+                                    (1.0 + 1e-7, "critical"),
+                                    (1.5, "critical")]),
+    # a checkpoint within 1e-12 of the switch is the switch row
+    ([0.0, 1.0 - 1e-13, 1.5], 1e-9, [(0.0, "transport"), (1.0, "critical"),
+                                     (1.5, "critical")]),
+], ids=["loose_gel_tol", "same_name", "within_1e-12"])
+def test_solve_records_the_switch_by_snapshot_name(checkpoints, gel_tol, rows):
+    traj = af.solve(af.dirac(0.0), 1.5, EvolveOptions(
+        dt=1e-3, checkpoints=checkpoints, gel_tol=gel_tol))
+    assert traj.t_gel == 1.0
+    assert [(s.t, s.mode) for s in traj.states] == rows
+    assert traj.states[-2].lambda_drift <= 1e-6
+
+
+def _cold_solves(monkeypatch):
+    """The measures leading_pair solves without a warm start, called from
+    evolution or through spectral.leading_eigenvalue."""
+    solved = []
+    exact = af.spectral.leading_pair
+
+    def counting(m, **kw):
+        if kw.get("start") is None:
+            solved.append(m.locations.tolist())
+        return exact(m, **kw)
+
+    for module in (af.evolution, af.spectral):
+        monkeypatch.setattr(module, "leading_pair", counting)
+    return solved
+
+
+@pytest.mark.parametrize("pi0, checkpoints, want", [
+    # delta_0 has no eigenpair; dirac(1) is the gelation audit and the switch
+    (af.dirac(0.0), [0.0, 0.5, 1.0, 1.5], [[0.5], [1.0]]),
+    # a critical start is the switch at t = 0
+    (small_fixed_point(), [0.0, 0.01, 0.02],
+     [small_fixed_point().locations.tolist()]),
+    # the lam_0 pair of a subcritical start is its t = 0 transport row
+    (af.from_atoms([(0.0, 0.5), (1.0, 0.5)]).as_probability(),
+     [0.0, 0.25, 1.0], [[0.0, 1.0], [0.25, 1.25], [2 / 3, 5 / 3]]),
+], ids=["dirac0", "critical", "half_at_zero"])
+def test_solve_eigen_solves_each_measure_once(pi0, checkpoints, want,
+                                              monkeypatch):
+    solved = _cold_solves(monkeypatch)
+    af.solve(pi0, checkpoints[-1], EvolveOptions(dt=1e-3,
+                                                 checkpoints=checkpoints))
+    assert len(solved) == len(want)
+    for got, loc in zip(sorted(solved), sorted(want)):
+        np.testing.assert_allclose(got, loc, rtol=1e-12, atol=0.0)
 
 
 def test_solve_checkpoint_validation():

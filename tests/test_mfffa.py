@@ -314,6 +314,22 @@ def test_run_no_lightning_is_dynamic_er():
     assert af.w1(records[0].age_measure, af.dirac(t)) == 0.0
 
 
+def test_run_single_vertex_without_lightning_draws_nothing():
+    # no event can happen: every checkpoint is recorded and the generator
+    # is never touched
+    g = af.sample_irg(2.5, n=1, seed=3)
+    state = g.rng.bit_generator.state
+    records = af.run(g, 0.0, 2.0, [0.0, 0.5, 2.0])
+    assert [r.t for r in records] == [0.0, 0.5, 2.0]
+    assert [r.age_measure.locations.tolist() for r in records] == [
+        [2.5], [3.0], [4.5]]
+    assert [r.cluster_hist for r in records] == [{1: 1}] * 3
+    assert all(r.burn_events == r.burned_vertices == 0 for r in records)
+    assert all(r.phi_hat_window == 0.0 for r in records)
+    assert g.t == 2.0
+    assert g.rng.bit_generator.state == state
+
+
 def test_run_records_and_reset_rule():
     n = 300
     g = af.sample_irg(0.0, n=n, seed=13)

@@ -75,6 +75,13 @@ def test_cli_solve_reproducible_from_config(tmp_path):
     (tmp_path / "cfg.json").write_text(json.dumps(loaded))
     assert main(["solve", "--config", str(tmp_path / "cfg.json")]) == 0
     assert (out1 / "trajectory.csv").read_text() == (out2 / "trajectory.csv").read_text()
+    # every spelling of the preset is its own W1 reference: 0 at t = 0
+    for k, init in enumerate(["fixedpoint:200,40", "fixed-point:200,40",
+                              "FixedPoint:200,40"]):
+        out = tmp_path / f"spelling{k}"
+        assert main(["solve", *args, "--init", init, "--out", str(out)]) == 0
+        row0 = (out / "trajectory.csv").read_text().splitlines()[1]
+        assert row0.split(",")[5] == "0"
 
 
 def test_cli_simulate_reproducible_from_config(tmp_path):
