@@ -52,13 +52,19 @@ class AgeMeasure:
         mass = np.atleast_1d(np.asarray(self.masses, dtype=float)).ravel()
         if locs.shape != mass.shape:
             raise InputError("locations and masses must have equal length")
-        if not (np.isfinite(locs).all() and np.isfinite(mass).all()):
-            raise InputError("locations and masses must be finite")
-        if (locs < 0).any():
-            raise InputError("atom locations must be >= 0")
-        if (mass < 0).any():
-            raise InputError("atom masses must be >= 0")
-        if (mass > 0).all() and (locs[1:] > locs[:-1]).all():
+        canonical = True  # an empty measure has no extremes to check
+        if locs.size:
+            # min and max propagate NaN, so four finite extremes mean every
+            # entry is finite
+            x_lo, x_hi, m_lo = locs.min(), locs.max(), mass.min()
+            if not all(map(math.isfinite, (x_lo, x_hi, m_lo, mass.max()))):
+                raise InputError("locations and masses must be finite")
+            if x_lo < 0:
+                raise InputError("atom locations must be >= 0")
+            if m_lo < 0:
+                raise InputError("atom masses must be >= 0")
+            canonical = m_lo > 0 and (locs[1:] > locs[:-1]).all()
+        if canonical:
             # already canonical: only copy, so no caller array is aliased
             locs, mass = locs.copy(), mass.copy()
         else:

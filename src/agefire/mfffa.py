@@ -12,8 +12,11 @@ start (all ages 0, no edges) reaches the critical edge density at time 1.
 Every output (ages, cluster histogram, burn counters) depends on the graph
 only through its connected components, and an edge inside a component
 never changes them, so the state is the component partition alone: a
-union-find with member lists (Tarjan, J. ACM 22, 1975) in place of the
-edge set.  A strike turns its component back into singletons.
+union-find in place of the edge set, kept in three flat int64 arrays (a
+label per vertex, a successor that cycles through each component, and a
+size per label; 24 bytes per vertex and no Python object per vertex).
+Union by size relabels the smaller cycle and splices the two (Tarjan,
+J. ACM 22, 1975).  A strike turns its component back into singletons.
 
 The initial graph may be sampled as an age-driven inhomogeneous random
 graph: conditional on the ages, each pair (v, w) is connected independently
@@ -31,7 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 from pathlib import Path
 from typing import Sequence
 
@@ -46,16 +48,23 @@ from .measures import ProbabilityAgeMeasure
 class FireGraph:
     """Mutable simulation state; one instance per run, never shared.
 
-    ``root[v]`` labels the component of v, and ``members[r]`` lists the
-    vertices of the component labelled r (empty when r is no label).  A
-    label is always a member of its own component.  ``edge_count`` is the
-    number of edges :func:`sample_irg` drew; it is not updated afterwards.
+    The components live in three flat int64 buffers of length n (each a
+    ``memoryview`` cast to ``'q'`` over a ``bytearray``; 24 bytes per
+    vertex).  ``root[v]`` labels the component of v, and a label is a
+    vertex of its own component (``root[r] == r``).  ``succ`` is a
+    permutation whose cycles are the components: walking ``succ`` from any
+    vertex visits its component once and returns.  ``size[r]`` is the size
+    of the component labelled r, and 0 when r is no label.  Bulk readers
+    view the buffers through ``np.frombuffer`` without a copy.
+    ``edge_count`` is the number of edges :func:`sample_irg` drew; it is
+    not updated afterwards.
     """
 
     n: int
     last_burn: np.ndarray        # age of v at time t is t - last_burn[v]
-    root: list[int]
-    members: list[list[int]]
+    root: memoryview
+    succ: memoryview
+    size: memoryview
     edge_count: int
     t: float
     rng: np.random.Generator
@@ -99,11 +108,13 @@ def sample_irg(ages, n: int | None = None, seed=None,
     rng = np.random.default_rng(seed)
     if method == "sorted":
         u, v = _sorted_irg_edges(ages_arr, rng)
-        root, members = _partition(n, u, v)
-        return FireGraph(n=n, last_burn=-ages_arr, root=root, members=members,
-                         edge_count=u.size, t=0.0, rng=rng)
-    graph = FireGraph(n=n, last_burn=-ages_arr, root=list(range(n)),
-                      members=[[v] for v in range(n)], edge_count=0, t=0.0,
+        root, succ, size = _partition(n, u, v)
+        return FireGraph(n=n, last_burn=-ages_arr, root=root, succ=succ,
+                         size=size, edge_count=u.size, t=0.0, rng=rng)
+    graph = FireGraph(n=n, last_burn=-ages_arr,
+                      root=_int64_buffer(np.arange(n)),
+                      succ=_int64_buffer(np.arange(n)),
+                      size=_int64_buffer(np.ones(n)), edge_count=0, t=0.0,
                       rng=rng)
     for i in range(n - 1):
         if ages_arr[i] == 0.0:
@@ -152,17 +163,19 @@ def _sorted_irg_edges(ages: np.ndarray, rng: np.random.Generator):
 
 
 def _partition(n: int, u: np.ndarray, v: np.ndarray):
-    """``root`` and ``members`` of the components of the graph with edges
-    (u[k], v[k]), each labelled by its smallest vertex.
+    """``root``, ``succ`` and ``size`` (see :class:`FireGraph`) of the
+    components of the graph with edges (u[k], v[k]), each labelled by its
+    smallest vertex.
 
     Min-label hooking with pointer jumping: ``label[x]`` is a vertex of x's
     component no larger than x, and each round hooks the larger label of
     every edge whose ends disagree onto the smaller one, then jumps every
     label to its fixed point.  Each round removes at least one label, and
-    the sparse graphs sampled here settle in a few rounds.  The hooking
-    ends before any Python list is built, and its arrays are freed before
-    the member lists are, which keeps the peak memory of the old
-    edge-by-edge build.
+    the sparse graphs sampled here settle in a few rounds.  Then a stable
+    argsort by label lists each component in increasing vertex order, its
+    label first; each vertex's successor is the next one in its group, and
+    the last closes the cycle on the label.  No Python object is built per
+    vertex, and each temporary is freed once used.
     """
     label = np.arange(n)
     while True:
@@ -177,18 +190,29 @@ def _partition(n: int, u: np.ndarray, v: np.ndarray):
                 break
             label = jumped
     del lu, lv, split
-    by_label = np.argsort(label, kind="stable")
-    sizes = np.bincount(label, minlength=n).tolist()
-    flat = by_label.tolist()
-    # root[x] is the int object of x's label, as after add_edge, not one
-    # fresh int per vertex (~4 MB at n = 128 000)
-    as_object = np.empty(n, dtype=object)
-    as_object[by_label] = flat
-    root = as_object[label].tolist()
-    del label, by_label, as_object
-    # the slice ends come lazily: a list of n large ints would cost ~5 MB
-    return root, [flat[end - size:end]
-                  for size, end in zip(sizes, accumulate(sizes))]
+    root = _int64_buffer(label)
+    size = _int64_buffer(np.bincount(label, minlength=n))
+    order = np.argsort(label, kind="stable")
+    label = label[order]                      # the label at each position
+    nxt = np.empty(n, np.int64)
+    nxt[:-1] = order[1:]
+    ends = np.flatnonzero(label[1:] != label[:-1])
+    nxt[ends] = label[ends]                   # a group's last closes on its label
+    nxt[-1] = label[-1]
+    del label, ends
+    succ = np.empty(n, np.int64)
+    succ[order] = nxt
+    del order, nxt
+    return root, _int64_buffer(succ), size
+
+
+def _int64_buffer(values: np.ndarray) -> memoryview:
+    """A copy of an integer numpy array as a flat int64 buffer: a
+    ``memoryview`` cast to ``'q'`` over a ``bytearray``.  Its items read
+    and write as Python ints faster than an ``array('q')``, and it needs no
+    extension module (loading ``array`` adds ~0.16 MB of resident memory to
+    every process that imports the package)."""
+    return memoryview(bytearray(np.ascontiguousarray(values, dtype=np.int64))).cast("q")
 
 
 def _uniform_index(next_u32, state, n: int) -> int:
@@ -209,30 +233,40 @@ def _uniform_index(next_u32, state, n: int) -> int:
 
 
 def add_edge(graph: FireGraph, i: int, j: int) -> None:
-    """Join the components of i and j.  Union by size: the smaller member
-    list is relabelled, so a root lookup is one list index."""
-    root, members = graph.root, graph.members
+    """Join the components of i and j.  Union by size: the smaller cycle
+    is relabelled, so a root lookup is one index, and swapping the two
+    labels' successors splices the cycles into one."""
+    root, succ, size = graph.root, graph.succ, graph.size
     a, b = root[i], root[j]
     if a == b:
         return
-    if len(members[a]) < len(members[b]):
+    if size[a] < size[b]:
         a, b = b, a
-    for u in members[b]:
+    u = b
+    while True:
         root[u] = a
-    members[a].extend(members[b])
-    members[b] = []
+        u = succ[u]
+        if u == b:
+            break
+    succ[a], succ[b] = succ[b], succ[a]
+    size[a] += size[b]
+    size[b] = 0
 
 
 def strike(graph: FireGraph, v: int) -> int:
     """Burn the component of v at the current time: its vertices become
     singletons (all its edges are gone) and their ages reset to zero.
     Returns the component size."""
-    root, members = graph.root, graph.members
-    comp = members[root[v]]
+    root, succ, size = graph.root, graph.succ, graph.size
+    comp = []
+    u = v
+    for _ in range(size[root[v]]):
+        comp.append(u)
+        w = succ[u]
+        root[u] = succ[u] = u
+        size[u] = 1
+        u = w
     graph.last_burn[comp] = graph.t
-    for u in comp:
-        root[u] = u
-        members[u] = [u]
     return len(comp)
 
 
@@ -244,9 +278,9 @@ def empirical_age_measure(graph: FireGraph) -> ProbabilityAgeMeasure:
 
 def cluster_sizes(graph: FireGraph) -> dict[int, int]:
     """Histogram {component size: number of components}."""
-    sizes = np.bincount(graph.root)
-    sizes, counts = np.unique(sizes[sizes > 0], return_counts=True)
-    return dict(zip(sizes.tolist(), counts.tolist()))
+    counts = np.bincount(np.bincount(np.frombuffer(graph.root, np.int64)))
+    sizes = np.flatnonzero(counts[1:]) + 1
+    return dict(zip(sizes.tolist(), counts[sizes].tolist()))
 
 
 @dataclass(frozen=True, eq=False)

@@ -66,6 +66,26 @@ def test_from_atoms_rejects_bad_input():
         af.from_atoms([(math.nan, 0.5)])
 
 
+def test_validation_checks_shape_then_finite_then_sign():
+    # each case breaks a later check too, so only the order picks the message
+    cases = [([1.0, math.nan], [0.5], "equal length"),
+             ([math.nan, 1.0], [0.5, -0.5], "finite"),
+             ([-1.0, 1.0], [0.5, math.inf], "finite"),
+             ([-math.inf, 1.0], [0.5, 0.5], "finite"),
+             ([-1.0, 1.0], [-0.5, 0.5], "locations must be >= 0"),
+             ([1.0, 2.0], [0.5, -0.5], "masses must be >= 0")]
+    for locs, masses, message in cases:
+        with pytest.raises(af.InputError, match=message):
+            af.AgeMeasure(np.array(locs), np.array(masses))
+
+
+def test_empty_measure():
+    for m in (af.from_atoms([]), af.AgeMeasure([2.0, 1.0], [0.0, 0.0])):
+        assert m.n_atoms == 0 and m.total_mass() == 0.0
+        assert m.locations.shape == m.masses.shape == (0,)
+        assert not m.locations.flags.writeable
+
+
 def test_measures_are_immutable():
     m = af.two_atom(0.5)
     with pytest.raises(ValueError):

@@ -2,6 +2,8 @@
 
 import hashlib
 import math
+import tracemalloc
+from types import SimpleNamespace
 
 import itertools
 
@@ -24,14 +26,33 @@ def edge_count_stats(n, ages):
     return mean, var
 
 
+def components(g):
+    """{label: the vertices met walking ``succ`` from the label, in walk
+    order}; a walk that does not return to its label within n steps
+    fails."""
+    comps = {}
+    for r in range(g.n):
+        if g.root[r] == r:
+            walk, u = [r], g.succ[r]
+            while u != r:
+                walk.append(u)
+                assert len(walk) <= g.n
+                u = g.succ[u]
+            comps[r] = walk
+    return comps
+
+
 def assert_partition(g):
-    """``root`` and ``members`` describe one partition of the vertices, and
-    every label is a member of its own component."""
-    labels = [r for r in range(g.n) if g.members[r]]
-    assert sorted(v for r in labels for v in g.members[r]) == list(range(g.n))
-    for r in labels:
-        assert g.root[r] == r
-        assert all(g.root[v] == r for v in g.members[r])
+    """``root``, ``succ`` and ``size`` describe one partition of the
+    vertices: every label r has ``root[r] == r``, the walk along ``succ``
+    from r returns to r after exactly ``size[r]`` steps and visits exactly
+    {v : root[v] == r}, and ``size`` is 0 off the labels."""
+    comps = components(g)
+    assert set(comps) == set(g.root)
+    for r, walk in comps.items():
+        assert len(set(walk)) == len(walk) == g.size[r]
+        assert set(walk) == {v for v in range(g.n) if g.root[v] == r}
+    assert all(g.size[v] == 0 for v in range(g.n) if v not in comps)
 
 
 # ---------------------------------------------------------------------------
@@ -103,18 +124,20 @@ def test_strike_resets_component_and_clears_edges():
     for i, j in [(0, 1), (1, 2), (2, 0), (3, 4)]:
         af.add_edge(g, i, j)
     g.t = 3.0
-    comp_before = set(g.members[g.root[1]])
+    comps = components(g)
+    comp_before = set(comps[g.root[1]])
     assert {0, 1, 2} <= comp_before
-    others = {g.root[u]: sorted(g.members[g.root[u]])
+    others = {g.root[u]: sorted(comps[g.root[u]])
               for u in set(range(60)) - comp_before}
     hist_before = af.cluster_sizes(g)
     size = af.strike(g, 1)
     assert size == len(comp_before)
     for u in comp_before:
-        assert g.root[u] == u and g.members[u] == [u]
+        assert (g.root[u], g.succ[u], g.size[u]) == (u, u, 1)
         assert g.last_burn[u] == 3.0
+    comps = components(g)
     for r, members in others.items():
-        assert sorted(g.members[r]) == members
+        assert sorted(comps[r]) == members
         assert all(g.last_burn[u] != 3.0 for u in members)
     assert_partition(g)
     hist_after = af.cluster_sizes(g)
@@ -139,6 +162,25 @@ def test_cluster_sizes_edge_cases():
     assert sum(k * c for k, c in hist.items()) == 200
 
 
+@pytest.mark.parametrize("method", ["dense", "sorted"])
+def test_graph_holds_no_python_object_per_vertex(method):
+    # three int64 arrays and last_burn are 32 bytes per vertex; a list or
+    # an int object per vertex would add ~30-110 more.  Only the last 2000
+    # ages are positive, which keeps the dense sweep to their rows.
+    n = 20_000
+    ages = np.zeros(n)
+    ages[-2000:] = np.random.default_rng(0).exponential(20.0, size=2000)
+    af.sample_irg(ages[:100], seed=0, method=method)  # warm numpy's caches
+    tracemalloc.start()
+    try:
+        g = af.sample_irg(ages, seed=0, method=method)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert max(g.size) > 1
+    assert held <= 40 * n
+
+
 def test_subcritical_er_isolated_fraction():
     # ages all equal to c give an Erdos-Renyi graph of density ~ c/n;
     # the isolated-vertex fraction concentrates near exp(-c)
@@ -159,7 +201,7 @@ ALPHA = 1e-3  # level of each two-sample and goodness-of-fit test below
 
 
 def _partition_sets(g):
-    return sorted(sorted(m) for m in g.members if m)
+    return sorted(sorted(m) for m in components(g).values())
 
 
 def _size_classes(g):
@@ -173,7 +215,7 @@ def _sample_stats(ages, method, seeds):
     for s in seeds:
         g = af.sample_irg(ages, seed=s, method=method)
         edges.append(g.edge_count)
-        largest.append(max(len(m) for m in g.members))
+        largest.append(max(g.size))
         classes += _size_classes(g)
     return edges, largest, classes
 
@@ -221,7 +263,8 @@ def test_irg_sorted_sampler_exact_law_small_graph():
 
 def test_irg_sorted_sampler_single_and_two_vertices():
     g = af.sample_irg(50.0, n=1, seed=4, method="sorted")
-    assert (g.edge_count, g.root, g.members) == (0, [0], [[0]])
+    assert (g.edge_count, list(g.root), list(g.succ), list(g.size)) == \
+        (0, [0], [0], [1])
     assert g.rng.bit_generator.state == \
         np.random.default_rng(4).bit_generator.state
     # two vertices: one Bernoulli(1 - exp(-min age / 2)) edge
@@ -231,10 +274,12 @@ def test_irg_sorted_sampler_single_and_two_vertices():
         g = af.sample_irg([3.0, 1.0], seed=seed, method="sorted")
         assert_partition(g)
         if g.edge_count:
-            assert (g.edge_count, g.root, g.members) == (1, [0, 0], [[0, 1], []])
+            assert (g.edge_count, list(g.root), list(g.succ),
+                    list(g.size)) == (1, [0, 0], [1, 0], [2, 0])
             joined += 1
         else:
-            assert (g.root, g.members) == ([0, 1], [[0], [1]])
+            assert (list(g.root), list(g.succ), list(g.size)) == \
+                ([0, 1], [0, 1], [1, 1])
     assert abs(joined / 2000 - p) <= 4.0 * math.sqrt(p * (1 - p) / 2000)
 
 
@@ -269,7 +314,7 @@ def test_irg_sorted_partition_equals_add_edge(scale):
         assert _partition_sets(g) == _partition_sets(_add_edge_partition(n, u, v))
         assert_partition(g)
         # each label is its component's smallest vertex
-        assert all(m[0] == r == min(m) for r, m in enumerate(g.members) if m)
+        assert all(m[0] == r == min(m) for r, m in components(g).items())
 
 
 def test_partition_of_arbitrary_edge_lists():
@@ -287,12 +332,11 @@ def test_partition_of_arbitrary_edge_lists():
         m = int(rng.integers(0, 2 * n))
         cases.append((rng.integers(n, size=m), rng.integers(n, size=m)))
     for u, v in cases:
-        root, members = _partition(n, u, v)
-        want = _add_edge_partition(n, u, v)
-        assert sorted(m for m in members if m) == _partition_sets(want)
-        for r, m in enumerate(members):
-            assert all(root[x] == r for x in m)
-            assert not m or m[0] == r
+        root, succ, size = _partition(n, u, v)
+        g = SimpleNamespace(n=n, root=root, succ=succ, size=size)
+        assert_partition(g)
+        assert _partition_sets(g) == _partition_sets(_add_edge_partition(n, u, v))
+        assert all(r == min(m) for r, m in components(g).items())
 
 
 # ---------------------------------------------------------------------------
