@@ -74,21 +74,21 @@ class FireGraph:
 
 
 def sample_irg(ages, n: int | None = None, seed=None,
-               method: str = "auto") -> FireGraph:
+               method: str = "sorted") -> FireGraph:
     """Sample the age-driven inhomogeneous random graph.
 
     ``ages`` is an array of length n, or a scalar broadcast to n.  Pair
     (i, j) is connected with probability 1 - exp(-min(a_i, a_j) / n),
-    independently.  ``method``:
-
-    - ``"dense"``: O(n^2) Bernoulli sweep, row by row (default up to 3e4).
-    - ``"sorted"``: sorts vertices by age; in sorted order the edge
-      probability from vertex i to every later vertex is constant, so
-      binomial degrees plus uniform targets give O(n log n + edges) array
-      work (see :func:`_sorted_irg_edges`).
-    - ``"auto"``: dense up to n = 30000, sorted beyond.
+    independently.  The sampler sorts the vertices by age; in sorted order
+    the edge probability from vertex i to every later vertex is constant,
+    so binomial degrees plus uniform targets draw the edges in
+    O(n log n + edges) array work (:func:`_sorted_irg_edges`), and
+    :func:`_partition` turns them into components.  ``method`` accepts
+    only ``"sorted"``.
     """
     ages_arr = np.asarray(ages, dtype=float)
+    if n is not None and not float(n).is_integer():
+        raise InputError(f"n must be an integer, got {n!r}")
     if ages_arr.ndim == 0:
         if n is None:
             raise InputError("scalar ages need an explicit n")
@@ -100,31 +100,14 @@ def sample_irg(ages, n: int | None = None, seed=None,
         raise InputError(f"got {ages_arr.size} ages for n = {n}")
     if not (np.isfinite(ages_arr) & (ages_arr >= 0)).all():
         raise InputError("ages must be finite and >= 0")
-    if method == "auto":
-        method = "dense" if n <= 30_000 else "sorted"
-    if method not in ("dense", "sorted"):
+    if method != "sorted":
         raise InputError(f"unknown sampling method {method!r}")
 
     rng = np.random.default_rng(seed)
-    if method == "sorted":
-        u, v = _sorted_irg_edges(ages_arr, rng)
-        root, succ, size = _partition(n, u, v)
-        return FireGraph(n=n, last_burn=-ages_arr, root=root, succ=succ,
-                         size=size, edge_count=u.size, t=0.0, rng=rng)
-    graph = FireGraph(n=n, last_burn=-ages_arr,
-                      root=_int64_buffer(np.arange(n)),
-                      succ=_int64_buffer(np.arange(n)),
-                      size=_int64_buffer(np.ones(n)), edge_count=0, t=0.0,
-                      rng=rng)
-    for i in range(n - 1):
-        if ages_arr[i] == 0.0:
-            continue  # min age 0 makes every pair probability 0
-        p = -np.expm1(-np.minimum(ages_arr[i], ages_arr[i + 1:]) / n)
-        hits = np.flatnonzero(rng.random(n - 1 - i) < p)
-        for off in hits:
-            add_edge(graph, i, i + 1 + int(off))
-        graph.edge_count += hits.size
-    return graph
+    u, v = _sorted_irg_edges(ages_arr, rng)
+    root, succ, size = _partition(n, u, v)
+    return FireGraph(n=n, last_burn=-ages_arr, root=root, succ=succ,
+                     size=size, edge_count=u.size, t=0.0, rng=rng)
 
 
 def _sorted_irg_edges(ages: np.ndarray, rng: np.random.Generator):
@@ -323,15 +306,21 @@ def run(graph: FireGraph, lambda_n: float, t_max: float,
         raise InputError("lambda_n must be finite and >= 0")
     if not math.isfinite(t_max):
         raise InputError("t_max must be finite")
+    if t_max < graph.t:
+        raise InputError(f"t_max = {t_max:g} is before the current time "
+                         f"{graph.t:g}")
+    n = graph.n
+    rate_fire = n * lambda_n
+    if not math.isfinite(rate_fire):
+        raise InputError(f"the total lightning rate n * lambda_n = "
+                         f"{n} * {lambda_n:g} is not finite")
     cps = sorted(float(c) for c in checkpoints)
     if not all(graph.t <= c <= t_max + 1e-12 for c in cps):
         raise InputError("checkpoints must lie within (current time, t_max]")
     if seed is not None:
         graph.rng = np.random.default_rng(seed)
     rng = graph.rng
-    n = graph.n
     rate_edge = 0.5 * n * (n - 1) * (1.0 / n)   # candidate pairs, rate 1/n each
-    rate_fire = n * lambda_n
     rate_total = rate_edge + rate_fire
     # a single vertex without lightning has no events: the first event time
     # is infinite, so every checkpoint is emitted and nothing is drawn

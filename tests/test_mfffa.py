@@ -12,7 +12,8 @@ import pytest
 from scipy import stats
 
 import agefire as af
-from agefire.mfffa import _partition, _sorted_irg_edges, _uniform_index
+from agefire.mfffa import (FireGraph, _int64_buffer, _partition,
+                           _sorted_irg_edges, _uniform_index)
 
 
 def edge_count_stats(n, ages):
@@ -24,6 +25,28 @@ def edge_count_stats(n, ages):
         mean += p.sum()
         var += (p * (1 - p)).sum()
     return mean, var
+
+
+def _dense_irg(ages, seed):
+    """Reference sampler of the age-driven random graph: the O(n^2)
+    Bernoulli sweep.  Row i draws one uniform per later vertex j and joins
+    those below 1 - exp(-min(a_i, a_j) / n); a row of age 0 draws
+    nothing.  The ``"dense"`` entry of ``PINNED_RUNS`` pins its stream."""
+    ages = np.asarray(ages, dtype=float)
+    n = ages.size
+    g = FireGraph(n=n, last_burn=-ages, root=_int64_buffer(np.arange(n)),
+                  succ=_int64_buffer(np.arange(n)),
+                  size=_int64_buffer(np.ones(n)), edge_count=0, t=0.0,
+                  rng=np.random.default_rng(seed))
+    for i in range(n - 1):
+        if ages[i] == 0.0:
+            continue
+        p = -np.expm1(-np.minimum(ages[i], ages[i + 1:]) / n)
+        hits = np.flatnonzero(g.rng.random(n - 1 - i) < p)
+        for off in hits:
+            af.add_edge(g, i, i + 1 + int(off))
+        g.edge_count += hits.size
+    return g
 
 
 def components(g):
@@ -84,17 +107,16 @@ def test_irg_sorted_sampler_matches_dense_statistics():
     rng = np.random.default_rng(3)
     ages = rng.exponential(2.0, size=n) + 1.0
     mean, var = edge_count_stats(n, ages)
-    for method in ("dense", "sorted"):
-        counts = [af.sample_irg(ages, seed=s, method=method).edge_count
-                  for s in range(8)]
+    for sample in (_dense_irg, af.sample_irg):
+        counts = [sample(ages, seed=s).edge_count for s in range(8)]
         assert abs(np.mean(counts) - mean) <= 4.0 * math.sqrt(var / 8)
 
 
 def test_irg_adjacency_is_symmetric_without_self_loops():
     # the sampled edges survive only as components: a consistent partition,
     # with each drawn edge joining at most two of them
-    for method in ("dense", "sorted"):
-        g = af.sample_irg(np.linspace(0, 20, 300), seed=5, method=method)
+    for sample in (_dense_irg, af.sample_irg):
+        g = sample(np.linspace(0, 20, 300), seed=5)
         assert_partition(g)
         n_clusters = sum(af.cluster_sizes(g).values())
         assert 0 < g.n - n_clusters <= g.edge_count
@@ -107,8 +129,11 @@ def test_irg_input_validation():
         af.sample_irg(1.0)  # scalar age needs n
     with pytest.raises(af.InputError):
         af.sample_irg([], n=0)
+    for method in ("magic", "dense", "auto"):
+        with pytest.raises(af.InputError):
+            af.sample_irg([1.0, 2.0], method=method)
     with pytest.raises(af.InputError):
-        af.sample_irg([1.0, 2.0], method="magic")
+        af.sample_irg(1.0, n=2.7)  # would truncate to 2 vertices
     with pytest.raises(af.InputError):
         af.sample_irg([1.0, float("nan")])
     with pytest.raises(af.InputError):
@@ -162,18 +187,16 @@ def test_cluster_sizes_edge_cases():
     assert sum(k * c for k, c in hist.items()) == 200
 
 
-@pytest.mark.parametrize("method", ["dense", "sorted"])
-def test_graph_holds_no_python_object_per_vertex(method):
+def test_graph_holds_no_python_object_per_vertex():
     # three int64 arrays and last_burn are 32 bytes per vertex; a list or
-    # an int object per vertex would add ~30-110 more.  Only the last 2000
-    # ages are positive, which keeps the dense sweep to their rows.
+    # an int object per vertex would add ~30-110 more
     n = 20_000
     ages = np.zeros(n)
     ages[-2000:] = np.random.default_rng(0).exponential(20.0, size=2000)
-    af.sample_irg(ages[:100], seed=0, method=method)  # warm numpy's caches
+    af.sample_irg(ages[:100], seed=0)  # warm numpy's caches
     tracemalloc.start()
     try:
-        g = af.sample_irg(ages, seed=0, method=method)
+        g = af.sample_irg(ages, seed=0)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -185,7 +208,7 @@ def test_subcritical_er_isolated_fraction():
     # ages all equal to c give an Erdos-Renyi graph of density ~ c/n;
     # the isolated-vertex fraction concentrates near exp(-c)
     n, c = 10_000, 0.7
-    g = af.sample_irg(c, n=n, seed=11, method="sorted")
+    g = af.sample_irg(c, n=n, seed=11)
     hist = af.cluster_sizes(g)
     frac = hist.get(1, 0) / n
     p_iso = math.exp((n - 1) * math.log1p(math.expm1(-c / n)))
@@ -210,10 +233,10 @@ def _size_classes(g):
     return np.bincount(np.minimum(sizes[sizes > 0], 5), minlength=6)[1:]
 
 
-def _sample_stats(ages, method, seeds):
+def _sample_stats(ages, sample, seeds):
     edges, largest, classes = [], [], np.zeros(5, dtype=int)
     for s in seeds:
-        g = af.sample_irg(ages, seed=s, method=method)
+        g = sample(ages, seed=s)
         edges.append(g.edge_count)
         largest.append(max(g.size))
         classes += _size_classes(g)
@@ -229,8 +252,8 @@ def test_irg_sorted_sampler_law_equals_dense(profile):
     rng = np.random.default_rng(17)
     ages = rng.exponential(1.0, size=n) if profile == "iid-exponential" \
         else rng.choice([0.0, 0.5, 1.0, 2.0], size=n)
-    dense = _sample_stats(ages, "dense", range(200))
-    fast = _sample_stats(ages, "sorted", range(1000, 1200))
+    dense = _sample_stats(ages, _dense_irg, range(200))
+    fast = _sample_stats(ages, af.sample_irg, range(1000, 1200))
     assert stats.ks_2samp(dense[0], fast[0]).pvalue > ALPHA
     assert stats.ks_2samp(dense[1], fast[1]).pvalue > ALPHA
     assert stats.chi2_contingency([dense[2], fast[2]]).pvalue > ALPHA
@@ -262,7 +285,7 @@ def test_irg_sorted_sampler_exact_law_small_graph():
 
 
 def test_irg_sorted_sampler_single_and_two_vertices():
-    g = af.sample_irg(50.0, n=1, seed=4, method="sorted")
+    g = af.sample_irg(50.0, n=1, seed=4)
     assert (g.edge_count, list(g.root), list(g.succ), list(g.size)) == \
         (0, [0], [0], [1])
     assert g.rng.bit_generator.state == \
@@ -271,7 +294,7 @@ def test_irg_sorted_sampler_single_and_two_vertices():
     p = -math.expm1(-1.0 / 2)
     joined = 0
     for seed in range(2000):
-        g = af.sample_irg([3.0, 1.0], seed=seed, method="sorted")
+        g = af.sample_irg([3.0, 1.0], seed=seed)
         assert_partition(g)
         if g.edge_count:
             assert (g.edge_count, list(g.root), list(g.succ),
@@ -288,7 +311,7 @@ def test_irg_sorted_sampler_single_and_two_vertices():
 def test_irg_sorted_sampler_zero_ages_draw_nothing(ages):
     # a lone positive age, or one that only sorts last, has no later
     # vertex of positive age to join
-    g = af.sample_irg(ages, seed=8, method="sorted")
+    g = af.sample_irg(ages, seed=8)
     assert g.edge_count == 0
     assert g.rng.bit_generator.state == \
         np.random.default_rng(8).bit_generator.state
@@ -307,7 +330,7 @@ def test_irg_sorted_partition_equals_add_edge(scale):
     n = 700
     ages = np.random.default_rng(31).exponential(scale, size=n)
     for seed in range(5):
-        g = af.sample_irg(ages, seed=seed, method="sorted")
+        g = af.sample_irg(ages, seed=seed)
         u, v = _sorted_irg_edges(ages, np.random.default_rng(seed))
         assert g.edge_count == u.size
         assert len({(min(e), max(e)) for e in zip(u.tolist(), v.tolist())}) == u.size
@@ -457,7 +480,8 @@ def test_c_entry_points_keep_the_generator_state():
 
 
 # Pinned on fixed seeds; a refactor of the simulator state that keeps the
-# RNG draw order must reproduce these digests exactly.
+# RNG draw order must reproduce these digests exactly.  "dense" samples
+# its graph with _dense_irg, "sorted" and "zero-age" with sample_irg.
 PINNED_RUNS = {
     "dense": "5a4130eb7c299830edbf7de6e105ec33f149ca5a7fd680afe7493bba4c7d7ef8",
     "sorted": "eb08bb38c1e85db4d5e43b8ef2cf1d80bde804fba38c0b72fe92fce09897a19c",
@@ -474,7 +498,8 @@ def test_run_records_are_bit_identical_to_pinned(case):
     else:
         n, seed = (300, 0) if case == "dense" else (400, 1)
         ages = np.random.default_rng(seed).exponential(2.0, size=n)
-        g = af.sample_irg(ages, seed=seed + 1, method=case)
+        sample = _dense_irg if case == "dense" else af.sample_irg
+        g = sample(ages, seed=seed + 1)
         records = af.run(g, n ** -0.5, 2.0, [0.5, 1.0, 2.0])
     assert _run_digest(records, g) == PINNED_RUNS[case]
 
@@ -518,6 +543,31 @@ def test_run_input_validation():
         af.run(g, 0.1, float("inf"), [])
     with pytest.raises(af.InputError):
         af.run(g, 0.1, 1.0, [float("nan")])
+
+
+def test_run_rejects_a_horizon_before_the_current_time():
+    g = af.sample_irg(1.0, n=10, seed=0)
+    with pytest.raises(af.InputError, match="before the current time"):
+        af.run(g, 0.1, -1.0, [])
+    assert g.t == 0.0
+    af.run(g, 0.0, 0.5, [])
+    with pytest.raises(af.InputError, match="before the current time"):
+        af.run(g, 0.1, 0.25, [])
+    assert g.t == 0.5 and (g.ages() == 1.5).all()
+    # a horizon at the current time stays legal
+    assert [r.t for r in af.run(g, 0.1, 0.5, [0.5])] == [0.5]
+    assert g.t == 0.5
+
+
+def test_run_rejects_a_non_finite_lightning_rate():
+    # 2 * 1e308 overflows: every wait would be exponential(0) = 0 and time
+    # would never advance
+    g = af.sample_irg(1.0, n=2, seed=0)
+    state = g.rng.bit_generator.state
+    with pytest.raises(af.InputError, match="lightning rate"):
+        af.run(g, 1e308, 0.1, [0.1])
+    assert g.t == 0.0
+    assert g.rng.bit_generator.state == state
 
 
 def test_edge_recount_cadence_is_exercised():

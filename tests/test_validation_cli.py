@@ -248,6 +248,7 @@ def _write_config(path, config):
     (["--init", "twoatom:0.5"], None),
     (["--checkpoints", "0.5,0.5000001", "--t-max", "1"], None),
     ([], {"seeds": [3, 3]}),
+    (["--lightning", "1e308"], None),  # n * lightning overflows
 ])
 def test_cli_simulate_rejects_bad_input(tmp_path, capsys, flags, config):
     # a dict config is written as JSON, a str config as raw text
