@@ -18,7 +18,6 @@ for atomic measures.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -326,64 +325,32 @@ def merge_atoms(measure: AgeMeasure, eps: float) -> AgeMeasure:
     """Coalesce adjacent atoms into mass-weighted barycenters within a
     W1 budget of eps.
 
-    Pairs are merged cheapest first; the accumulated cost (sum over merge
-    events of mass * |location - barycenter|, an upper bound for the W1
-    shift between input and output) never exceeds eps.  Total mass and
-    first moment are preserved by construction.
-
-    Only adjacent pairs whose starting cost fits the whole budget enter
-    the heap, and the input is returned as is when there are none.  An
-    unmerged pair keeps its starting cost, and one above eps exceeds the
-    budget even with nothing spent; the pops of the remaining entries
-    come in the same order, so the result equals that of a heap over
-    every pair.
+    Each pass prices every adjacent pair and merges the cheapest one, the
+    leftmost on a tie; the accumulated cost (sum over merge events of
+    mass * |location - barycenter|, an upper bound for the W1 shift
+    between input and output) never exceeds eps.  Total mass and first
+    moment are preserved by construction.  A call that merges k pairs
+    costs O(k * N), and the input is returned as is when nothing merges.
     """
     if not eps >= 0.0:
         raise InputError("merge budget must be a number >= 0")
-    n = measure.n_atoms
-    if eps == 0.0 or n < 2:
+    if eps == 0.0 or measure.n_atoms < 2:
         return measure
-    locs = measure.locations.copy()
-    mass = measure.masses.copy()
-
-    def pair_cost(i, j):
-        """Cost of merging atoms i and j; slices price many pairs at once."""
-        d = locs[j] - locs[i]
-        return 2.0 * mass[i] * mass[j] * d / (mass[i] + mass[j])
-
-    costs = pair_cost(slice(None, -1), slice(1, None))
-    cand = np.flatnonzero(costs <= eps)
-    if cand.size == 0:
-        return measure
-    prev = np.arange(-1, n - 1)
-    nxt = np.arange(1, n + 1)
-    alive = np.ones(n, dtype=bool)
-    version = np.zeros(n, dtype=np.int64)
-    heap = [(c, i, i + 1, 0, 0)
-            for c, i in zip(costs[cand].tolist(), cand.tolist())]
-    heapq.heapify(heap)
-    spent = 0.0
-    while heap:
-        cost, i, j, vi, vj = heapq.heappop(heap)
-        if not (alive[i] and alive[j]) or version[i] != vi or version[j] != vj:
-            continue
-        if spent + cost > eps:
+    locs, mass, spent = measure.locations, measure.masses, 0.0
+    while locs.size > 1:
+        d = locs[1:] - locs[:-1]
+        costs = 2.0 * mass[:-1] * mass[1:] * d / (mass[:-1] + mass[1:])
+        i = int(np.argmin(costs))
+        if not spent + costs[i] <= eps:
             break  # cheapest remaining merge exceeds the budget
-        spent += cost
-        m = mass[i] + mass[j]
-        locs[i] = (locs[i] * mass[i] + locs[j] * mass[j]) / m
-        mass[i] = m
-        alive[j] = False
-        version[i] += 1
-        nxt[i] = nxt[j]
-        if nxt[i] < n:
-            prev[nxt[i]] = i
-            heapq.heappush(heap, (pair_cost(i, nxt[i]), i, nxt[i],
-                                  version[i], version[nxt[i]]))
-        if prev[i] >= 0:
-            heapq.heappush(heap, (pair_cost(prev[i], i), prev[i], i,
-                                  version[prev[i]], version[i]))
-    return type(measure)(locs[alive], mass[alive])
+        spent += costs[i]
+        m = mass[i] + mass[i + 1]
+        x = (locs[i] * mass[i] + locs[i + 1] * mass[i + 1]) / m
+        locs, mass = np.delete(locs, i + 1), np.delete(mass, i + 1)
+        locs[i], mass[i] = x, m
+    if locs.size == measure.n_atoms:
+        return measure
+    return type(measure)(locs, mass)
 
 
 def mixture(components: Sequence[tuple[float, AgeMeasure]]) -> AgeMeasure:

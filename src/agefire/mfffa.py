@@ -40,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError
-from .evolution import snapshot_filename
+from .evolution import check_snapshot_names, snapshot_filename
 from .measures import ProbabilityAgeMeasure
 
 
@@ -293,6 +293,9 @@ def run(graph: FireGraph, lambda_n: float, t_max: float,
 
     Mutates ``graph`` in place.  With ``seed`` given, the generator is
     reseeded so that (seed, config) determines the run bit for bit.
+    Checkpoints follow :func:`~agefire.evolution.solve`'s rule: exact
+    duplicates are one checkpoint, and two that share a snapshot name are
+    an InputError.
 
     The loop draws its uniforms through the bit generator's C entry points
     (``next_double``, ``next_uint32``), which give exactly the numbers of
@@ -314,14 +317,20 @@ def run(graph: FireGraph, lambda_n: float, t_max: float,
     if not math.isfinite(rate_fire):
         raise InputError(f"the total lightning rate n * lambda_n = "
                          f"{n} * {lambda_n:g} is not finite")
-    cps = sorted(float(c) for c in checkpoints)
+    rate_edge = 0.5 * n * (n - 1) * (1.0 / n)   # candidate pairs, rate 1/n each
+    rate_total = rate_edge + rate_fire
+    if rate_total and t_max + 1.0 / rate_total == t_max:
+        # the mean wait is below half an ulp of t_max: time would stop
+        raise InputError(f"the total lightning rate n * lambda_n = "
+                         f"{n} * {lambda_n:g} is too high to advance time "
+                         f"at t_max = {t_max:g}")
+    cps = sorted({float(c) for c in checkpoints})
     if not all(graph.t <= c <= t_max + 1e-12 for c in cps):
         raise InputError("checkpoints must lie within (current time, t_max]")
+    check_snapshot_names(cps)
     if seed is not None:
         graph.rng = np.random.default_rng(seed)
     rng = graph.rng
-    rate_edge = 0.5 * n * (n - 1) * (1.0 / n)   # candidate pairs, rate 1/n each
-    rate_total = rate_edge + rate_fire
     # a single vertex without lightning has no events: the first event time
     # is infinite, so every checkpoint is emitted and nothing is drawn
     p_edge = rate_edge / rate_total if rate_total else 0.0

@@ -9,6 +9,7 @@ import pytest
 import agefire as af
 from agefire.evolution import EvolveOptions, _critical_state
 from agefire.validation import random_probability_measure
+from test_measures import _heap_merge_atoms
 
 
 def small_fixed_point():
@@ -98,6 +99,26 @@ def test_interpolated_warm_start_matches_theta_at_oracle(pi0, t_max, monkeypatch
                                    rtol=1e-10, atol=0.0)
         assert abs(got.lam - want.lam) <= 1e-13
         assert abs(got.phi - want.phi) <= 1e-13
+
+
+def test_merging_solve_matches_heap_oracle(monkeypatch):
+    # merge_eps = 1e-2 merges pairs in every step (up to 8 in one call) and
+    # ~300 atoms in all over the 100 steps
+    pi0 = small_fixed_point()
+    opts = EvolveOptions(dt=1e-2, merge_eps=1e-2, checkpoints=[0.0, 0.5, 1.0])
+    traj = af.solve(pi0, 1.0, opts)
+    monkeypatch.setattr(af.evolution, "merge_atoms",
+                        lambda m, eps: _heap_merge_atoms(m, eps)[0])
+    ref = af.solve(pi0, 1.0, opts)
+    assert traj.states[-1].atom_count < pi0.n_atoms
+    assert len(traj.states) == len(ref.states)
+    for got, want in zip(traj.states, ref.states):
+        assert (got.t, got.mode, got.lam, got.phi, got.lambda_drift,
+                got.speed_budget) == (want.t, want.mode, want.lam, want.phi,
+                                      want.lambda_drift, want.speed_budget)
+        assert np.array_equal(got.pi.locations, want.pi.locations)
+        assert np.array_equal(got.pi.masses, want.pi.masses)
+        assert np.array_equal(got.pair.theta, want.pair.theta)
 
 
 # ---------------------------------------------------------------------------

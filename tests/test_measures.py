@@ -399,18 +399,39 @@ def _heap_merge_atoms(measure, eps):
 
 def test_merge_atoms_matches_heap_oracle():
     rng = np.random.default_rng(20240)
-    merged = untouched = 0
-    for k in range(1200):
-        if k % 2:
+
+    def cases():
+        for k in range(1200):
+            if k % 2:
+                m = random_probability_measure(rng, max_atoms=80)
+            else:  # clusters of near-coincident atoms: many cheap merges
+                n = int(rng.integers(2, 80))
+                centers = rng.uniform(0.0, 10.0, size=n // 4 + 1)
+                spread = 10.0 ** rng.uniform(-9.0, -3.0)
+                locs = np.abs(np.repeat(centers, 4)[:n]
+                              + rng.normal(0.0, spread, n))
+                mass = rng.uniform(0.01, 1.0, size=n)
+                m = af.ProbabilityAgeMeasure(locs, mass / mass.sum())
+            yield m, float(10.0 ** rng.uniform(-8.0, 0.0))
+        # ties: equal masses on a unit grid price every pair at 1/8, and
+        # the budgets 1/8 and 1/4 are spent exactly
+        grid = af.ProbabilityAgeMeasure(np.arange(8.0), np.full(8, 0.125))
+        for eps in (0.125, 0.25, 0.3, 1.0):
+            yield grid, eps
+        # budgets equal to the cost of the cheapest pair, to the last bit
+        for _ in range(100):
             m = random_probability_measure(rng, max_atoms=80)
-        else:  # clusters of near-coincident atoms: many cheap merges
-            n = int(rng.integers(2, 80))
-            centers = rng.uniform(0.0, 10.0, size=n // 4 + 1)
-            spread = 10.0 ** rng.uniform(-9.0, -3.0)
-            locs = np.abs(np.repeat(centers, 4)[:n] + rng.normal(0.0, spread, n))
-            mass = rng.uniform(0.01, 1.0, size=n)
-            m = af.ProbabilityAgeMeasure(locs, mass / mass.sum())
-        eps = float(10.0 ** rng.uniform(-8.0, 0.0))
+            x, w = m.locations, m.masses
+            costs = 2.0 * w[:-1] * w[1:] * (x[1:] - x[:-1]) / (w[:-1] + w[1:])
+            yield m, float(costs.min(initial=1.0))
+        # large smooth profiles: from no merge up to ~5 000 in one call
+        for n in (500, 2000, 5000):
+            m = af.fixed_point_measure(n)
+            for eps in np.logspace(-9.0, -1.0, 7):
+                yield m, float(eps)
+
+    merged = untouched = 0
+    for m, eps in cases():
         ref, spent = _heap_merge_atoms(m, eps)
         out = af.merge_atoms(m, eps)
         assert np.array_equal(out.locations, ref.locations)

@@ -570,6 +570,37 @@ def test_run_rejects_a_non_finite_lightning_rate():
     assert g.rng.bit_generator.state == state
 
 
+def test_run_rejects_a_rate_too_high_to_advance_time():
+    # 0.1 + 1e-308 == 0.1: every event would leave the clock where it is
+    for n, lightning in ((1, 1e308), (2, 1e300)):
+        g = af.sample_irg(1.0, n=n, seed=0)
+        state = g.rng.bit_generator.state
+        with pytest.raises(af.InputError, match="lightning rate"):
+            af.run(g, lightning, 0.1, [0.1])
+        assert g.t == 0.0
+        assert g.rng.bit_generator.state == state
+    # a rate whose mean wait still moves the clock runs as before
+    g = af.sample_irg(1.0, n=1, seed=0)
+    assert af.run(g, 1e3, 0.1, [0.1])[0].burn_events > 0
+
+
+def test_run_collapses_duplicate_checkpoints_and_rejects_name_collisions():
+    def rows(checkpoints):
+        g = af.sample_irg(0.0, n=20, seed=0)
+        return [(r.t, r.burned_vertices, r.phi_hat_window)
+                for r in af.run(g, 0.5, 1.0, checkpoints, seed=1)]
+
+    # a repeated checkpoint is one record, not a second one with a zero window
+    assert rows([1.0, 0.5, 1.0, 0.5]) == rows([0.5, 1.0])
+    assert [t for t, _, _ in rows([0.5, 1.0])] == [0.5, 1.0]
+    g = af.sample_irg(0.0, n=20, seed=0)
+    state = g.rng.bit_generator.state
+    with pytest.raises(af.InputError, match="snapshot name"):
+        af.run(g, 0.1, 1.0, [0.5, 0.5 + 1e-7, 1.0, 1.0])
+    assert g.t == 0.0
+    assert g.rng.bit_generator.state == state
+
+
 def test_edge_recount_cadence_is_exercised():
     # ~25000 events (rate ~ n/2 per unit time) with many unions and strikes
     # leave the component state consistent

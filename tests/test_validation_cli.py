@@ -249,6 +249,9 @@ def _write_config(path, config):
     (["--checkpoints", "0.5,0.5000001", "--t-max", "1"], None),
     ([], {"seeds": [3, 3]}),
     (["--lightning", "1e308"], None),  # n * lightning overflows
+    # finite rates whose mean wait is below half an ulp of t_max
+    (["--n", "1", "--lightning", "1e308", "--t-max", "0.1"], None),
+    (["--n", "2", "--lightning", "1e300"], None),
 ])
 def test_cli_simulate_rejects_bad_input(tmp_path, capsys, flags, config):
     # a dict config is written as JSON, a str config as raw text
