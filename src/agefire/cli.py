@@ -75,6 +75,7 @@ _lightning = _kind("'auto' (n^-1/2) or a finite number >= 0",
 
 
 _REQUIRED = object()  # the default of a key that must be given
+_MAX_EVENTS = 10 ** 7  # largest expected event count of one simulate replica
 _OUT = ("--out", _text, _REQUIRED, "output directory")
 
 # command -> (help, {config key: (flag, converter, default, help)}); a flag
@@ -94,7 +95,9 @@ _PARAMS = {
         "init": ("--init", _text, "dirac:0", "dirac:a or iid:<preset>"),
         "n": ("--n", _count, 2000, "number of vertices"),
         "lightning": ("--lightning", _lightning, "auto",
-                      "per-vertex strike rate, or 'auto' (= n^-1/2)"),
+                      "per-vertex strike rate, or 'auto' (= n^-1/2); a "
+                      f"replica may expect at most {_MAX_EVENTS:,} events, "
+                      "t_max * ((n - 1)/2 + n * lightning)"),
         "t_max": ("--t-max", _time, 3.0, "final time"),
         "checkpoints": ("--checkpoints", _times, None, "comma-separated times"),
         "seeds": ("--seeds", _seeds, 1, "number of replicas (seeds 0..k-1)"),
@@ -202,6 +205,11 @@ def cmd_simulate(args) -> int:
     config = _load_config("simulate", args)
     n, t_max, init, seeds = (config[k] for k in ("n", "t_max", "init", "seeds"))
     lambda_n = n ** -0.5 if config["lightning"] == "auto" else config["lightning"]
+    events = t_max * ((n - 1) / 2 + n * lambda_n)
+    if events > _MAX_EVENTS:
+        raise InputError(f"lightning: a replica would expect t_max * ((n - 1)/2 "
+                         f"+ n * lightning) = {events:.3g} events, above the "
+                         f"cap of {_MAX_EVENTS:,}")
     cps = config["checkpoints"] or ev.even_checkpoints(t_max, 6)[1:]
     iid = init.startswith("iid:")
     base = _init_measure(init[4:] if iid else init)
@@ -212,9 +220,11 @@ def cmd_simulate(args) -> int:
     all_records = []
     for seed in seeds:
         if iid:
-            rng = np.random.default_rng(seed)
-            ages = rng.choice(base.locations, size=n, p=base.masses)
-            graph = mfffa.sample_irg(ages, seed=seed)
+            # the ages and the graph draw from two independent streams
+            age_seed, graph_seed = np.random.SeedSequence(seed).spawn(2)
+            ages = np.random.default_rng(age_seed).choice(
+                base.locations, size=n, p=base.masses)
+            graph = mfffa.sample_irg(ages, seed=graph_seed)
         else:
             graph = mfffa.sample_irg(float(base.locations[0]), n=n, seed=seed)
         records = mfffa.run(graph, lambda_n, t_max, cps)
@@ -238,8 +248,9 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _read_column(path: Path, column: str) -> dict[float, float]:
-    """{first column: ``column``} over the rows of a CSV file."""
+def _read_column(path: Path, column: str) -> dict[str, tuple[float, float]]:
+    """{snapshot name: (t, ``column``)} over the rows of a CSV file whose
+    first column is the time t."""
     rows = path.read_text().strip().splitlines()
     if len(rows) < 2:
         raise ValueError("no data rows")
@@ -247,7 +258,8 @@ def _read_column(path: Path, column: str) -> dict[float, float]:
     if column not in header:
         raise ValueError(f"no column {column!r}")
     idx = header.index(column)
-    return {float(r.split(",")[0]): float(r.split(",")[idx]) for r in rows[1:]}
+    cells = [r.split(",") for r in rows[1:]]
+    return {ev.snapshot_filename(float(c[0])): (float(c[0]), float(c[idx])) for c in cells}
 
 
 def cmd_compare(args) -> int:
@@ -257,25 +269,24 @@ def cmd_compare(args) -> int:
     seed_dirs = sorted(sim_dir.glob("seed_*")) or [sim_dir]
     phi_sims = [_guard(sd / "sim.csv", _read_column, "phi_hat_window")
                 for sd in seed_dirs]
-    matches = []
-    for t in sorted(phi_sims[0]):
-        tp = min(phi_pde, key=lambda k: abs(k - t))
-        if abs(tp - t) <= 1e-9:
-            matches.append((t, tp))
+    # a trajectory row and a sim row are one checkpoint when they share a
+    # snapshot name
+    matches = [(name, t) for name, (t, _) in phi_sims[0].items()
+               if name in phi_pde]
     if not matches:
         raise InputError("no common checkpoint times between trajectory and sim")
     rows = ["t,w1_empirical_vs_pde,phi_hat,phi_pde"]
-    for t, tp in matches:
-        pde_snap = _guard(traj_dir / ev.snapshot_filename(tp), ms.AgeMeasure.from_csv)
+    for name, t in matches:
+        pde_snap = _guard(traj_dir / name, ms.AgeMeasure.from_csv)
         w1s, phis = [], []
         for sd, phi_sim in zip(seed_dirs, phi_sims):
-            if t not in phi_sim:
+            if name not in phi_sim:
                 raise InputError(f"{sd / 'sim.csv'}: no row at t = {t:.12g}")
-            emp = _guard(sd / ev.snapshot_filename(t), ms.AgeMeasure.from_csv)
+            emp = _guard(sd / name, ms.AgeMeasure.from_csv)
             w1s.append(ms.w1(emp, pde_snap))
-            phis.append(phi_sim[t])
+            phis.append(phi_sim[name][1])
         rows.append(f"{t:.12g},{statistics.median(w1s):.8g},"
-                    f"{statistics.median(phis):.8g},{phi_pde[tp]:.8g}")
+                    f"{statistics.median(phis):.8g},{phi_pde[name][1]:.8g}")
     out = _open_out(config)
     (out / "comparison.csv").write_text("\n".join(rows) + "\n")
     print(f"compared {len(matches)} checkpoints "

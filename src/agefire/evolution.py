@@ -105,11 +105,13 @@ class Trajectory:
     def times(self) -> np.ndarray:
         return np.array([s.t for s in self.states])
 
-    def state_at(self, t: float, tol: float = 1e-9) -> EvolutionState:
+    def state_at(self, t: float) -> EvolutionState:
+        """The state whose snapshot name is that of t (see
+        :func:`checkpoint_times`)."""
         for s in self.states:
-            if abs(s.t - t) <= tol:
+            if snapshot_filename(s.t) == snapshot_filename(t):
                 return s
-        raise InputError(f"no checkpoint at t = {t}")
+        raise InputError(f"no checkpoint at t = {t!r}")
 
 
 def _critical_state(t, pi, *, speed_budget=0.0, start=None, pair=None):
@@ -226,8 +228,10 @@ def solve(pi0: ProbabilityAgeMeasure, t_max: float,
     Checkpoints before the gelation time t_gel are transport rows (translates
     of pi0, phi = 0), those after it critical rows stepped from the switch
     row: pi0.translate(t_gel) with the pair the gelation audit solved.  The
-    switch row is recorded unless a checkpoint more than 1e-12 away writes
-    its snapshot name; a checkpoint within 1e-12 of t_gel is the switch row.
+    checkpoints, with 0 and t_max added, follow :func:`checkpoint_times`.
+    The switch row is recorded unless a checkpoint more than 1e-12 away
+    writes its snapshot name; a checkpoint within 1e-12 of t_gel is the
+    switch row.
     Supercritical data are rejected; critical data switch at t = 0, and the
     degenerate start (all mass at age 0) is subcritical with t_gel = 1.
     """
@@ -241,28 +245,21 @@ def solve(pi0: ProbabilityAgeMeasure, t_max: float,
     pi0 = pi0.as_probability()
     cps_src = opts.checkpoints if opts.checkpoints is not None \
         else even_checkpoints(t_max, 10)
-    cps = sorted({float(c) for c in cps_src})
-    if not all(0 <= c <= t_max + 1e-12 for c in cps):
-        raise InputError("checkpoints must lie in [0, t_max]")
-    for bound in (0.0, t_max):
-        if not any(abs(c - bound) <= 1e-12 for c in cps):
-            cps.append(bound)
-    cps = sorted(set(cps))
-    names = check_snapshot_names(cps)
+    cps = checkpoint_times([0.0, *cps_src, t_max], 0.0, t_max)
 
     t_gel, pair0, pair = _gelation(pi0, opts.gel_tol, opts.crit_tol)
     states: list[EvolutionState] = []
-    for c in cps:
+    for c in cps.values():
         if c < t_gel - 1e-12:
             pi_c = pi0.translate(c) if c > 0 else pi0
             states.append(EvolutionState(
                 t=c, pi=pi_c, mode="transport", phi=0.0,
                 pair=leading_pair(pi_c) if c > 0 else pair0))
     state = switch = _critical_state(t_gel, pair.source, pair=pair)
-    t_named = names.get(snapshot_filename(t_gel), t_gel)
+    t_named = cps.get(snapshot_filename(t_gel), t_gel)
     if t_gel <= t_max + 1e-12 and abs(t_named - t_gel) <= 1e-12:
         states.append(switch)
-    for target in [c for c in cps if c > t_gel + 1e-12]:
+    for target in [c for c in cps.values() if c > t_gel + 1e-12]:
         while target - state.t > 1e-12:
             h = min(opts.dt, target - state.t)
             state = step(state, h, merge_eps=opts.merge_eps,
@@ -446,8 +443,18 @@ def lyapunov_experiment(pi0: ProbabilityAgeMeasure, t_max: float,
 TRAJECTORY_HEADER = "t,lambda,phi,mean_age,atom_count,w1_to_fixed_point,mass_defect"
 
 
+def checkpoint_tag(t: float) -> str:
+    """The ``t<t>`` tag of the files written at time t: t to six decimals,
+    rounded from its ``.12g`` text, which is what the ``t`` column of a
+    CSV row holds.  So a reader that holds only the row names the file
+    that the writer wrote."""
+    return f"t{float(f'{t:.12g}'):.6f}"
+
+
 def snapshot_filename(t: float) -> str:
-    return f"snapshot_t{t:.6f}.csv"
+    """The snapshot name of time t, by which every file and lookup finds
+    the checkpoint at t."""
+    return f"snapshot_{checkpoint_tag(t)}.csv"
 
 
 def even_checkpoints(t_max: float, intervals: int) -> list[float]:
@@ -458,17 +465,26 @@ def even_checkpoints(t_max: float, intervals: int) -> list[float]:
     return np.linspace(0.0, t_max, k + 1).tolist()
 
 
-def check_snapshot_names(times: Sequence[float]) -> dict[str, float]:
-    """Map each snapshot name to the one time that writes it; raise
-    InputError when two of the times would write the same snapshot file,
-    which would silently keep only the later state."""
-    seen: dict[str, float] = {}
-    for t in times:
-        other = seen.setdefault(snapshot_filename(t), t)
+def checkpoint_times(times: Sequence[float], t0: float,
+                     t_max: float) -> dict[str, float]:
+    """The checkpoint rule of :func:`solve` and :func:`~agefire.mfffa.run`:
+    {snapshot name: time} over the distinct times, in time order.
+
+    Every time must lie in [t0, t_max + 1e-12] (NaN does not); exact
+    duplicates are one checkpoint; two different times that share a
+    snapshot name are an InputError, since the later state would
+    overwrite the earlier one's files.
+    """
+    cps = sorted({float(c) for c in times})
+    if not all(t0 <= c <= t_max + 1e-12 for c in cps):
+        raise InputError(f"checkpoints must lie in [{t0:.12g}, {t_max:.12g}]")
+    names = {}
+    for t in cps:
+        other = names.setdefault(snapshot_filename(t), t)
         if other != t:
-            raise InputError(f"checkpoints {other:.12g} and {t:.12g} share "
-                             f"the snapshot name {snapshot_filename(t)}")
-    return seen
+            raise InputError(f"checkpoints {other!r} and {t!r} share the "
+                             f"snapshot name {snapshot_filename(t)}")
+    return names
 
 
 def write_trajectory(traj: Trajectory, out_dir,

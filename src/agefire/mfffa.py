@@ -40,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError
-from .evolution import check_snapshot_names, snapshot_filename
+from .evolution import checkpoint_tag, checkpoint_times, snapshot_filename
 from .measures import ProbabilityAgeMeasure
 
 
@@ -292,10 +292,11 @@ def run(graph: FireGraph, lambda_n: float, t_max: float,
     """Drive the fire dynamics to t_max, emitting a record per checkpoint.
 
     Mutates ``graph`` in place.  With ``seed`` given, the generator is
-    reseeded so that (seed, config) determines the run bit for bit.
-    Checkpoints follow :func:`~agefire.evolution.solve`'s rule: exact
-    duplicates are one checkpoint, and two that share a snapshot name are
-    an InputError.
+    reseeded so that (seed, config) determines the run bit for bit.  The
+    checkpoints follow :func:`~agefire.evolution.checkpoint_times` from the
+    current time ``graph.t`` on.  Rates that would stop the clock are an
+    InputError, but no cap bounds the expected number of events,
+    t_max * ((n - 1) / 2 + n * lambda_n); ``agefire simulate`` applies one.
 
     The loop draws its uniforms through the bit generator's C entry points
     (``next_double``, ``next_uint32``), which give exactly the numbers of
@@ -324,10 +325,7 @@ def run(graph: FireGraph, lambda_n: float, t_max: float,
         raise InputError(f"the total lightning rate n * lambda_n = "
                          f"{n} * {lambda_n:g} is too high to advance time "
                          f"at t_max = {t_max:g}")
-    cps = sorted({float(c) for c in checkpoints})
-    if not all(graph.t <= c <= t_max + 1e-12 for c in cps):
-        raise InputError("checkpoints must lie within (current time, t_max]")
-    check_snapshot_names(cps)
+    cps = list(checkpoint_times(checkpoints, graph.t, t_max).values())
     if seed is not None:
         graph.rng = np.random.default_rng(seed)
     rng = graph.rng
@@ -463,5 +461,5 @@ def write_sim_outputs(records: Sequence[SimRecord], out_dir) -> None:
         r.age_measure.to_csv(out / snapshot_filename(r.t))
         hist_rows = ["size,count"] + [f"{k},{r.cluster_hist[k]}"
                                       for k in sorted(r.cluster_hist)]
-        (out / f"clusters_t{r.t:.6f}.csv").write_text("\n".join(hist_rows) + "\n")
+        (out / f"clusters_{checkpoint_tag(r.t)}.csv").write_text("\n".join(hist_rows) + "\n")
     (out / "sim.csv").write_text("\n".join(rows) + "\n")

@@ -110,6 +110,11 @@ def leading_pair(measure: AgeMeasure, *, eigen_tol: float = EIGEN_TOL,
     if xp.size == 0:
         raise DegenerateOperatorError(
             "measure is supported on {0}; the min-kernel operator is zero")
+    # min(x, y) is homogeneous: iterate on the ages over a power of two near
+    # the largest, so that tiny ages do not underflow.  A power of two scales
+    # exactly, so ordinary measures give the same bits as unscaled ages.
+    scale = math.ldexp(1.0, math.frexp(xp[-1])[1] - 1)
+    xs = xp / scale
     d = np.sqrt(wp)
     if start is None:
         v = d.copy()  # all-ones theta in symmetrized coordinates
@@ -128,7 +133,7 @@ def leading_pair(measure: AgeMeasure, *, eigen_tol: float = EIGEN_TOL,
     stalled = 0
     iters = 0
     while True:
-        mv = d * min_kernel_apply(xp, d * v)
+        mv = d * min_kernel_apply(xs, d * v)
         rayleigh = float(v @ mv)
         resid_sym = float(np.max(np.abs(mv - rayleigh * v)))
         v = mv / math.sqrt(mv @ mv)
@@ -138,21 +143,25 @@ def leading_pair(measure: AgeMeasure, *, eigen_tol: float = EIGEN_TOL,
             stalled = 0
         else:
             stalled += 1  # residual at the rounding floor
-        rq_done = abs(rayleigh - rayleigh_old) < eigen_tol * max(1.0, abs(rayleigh))
+        rq_done = (abs(rayleigh - rayleigh_old) * scale
+                   < eigen_tol * max(1.0, abs(rayleigh) * scale))
         resid_done = resid_sym <= _RESID_FRAC * abs(rayleigh) or stalled > 40
         if rq_done and resid_done:
             break
         if iters >= max_iters:
             raise IterationLimitError(
                 f"power iteration did not converge in {max_iters} sweeps "
-                f"(symmetric residual {resid_sym:.3e})", residual=resid_sym)
+                f"(symmetric residual {resid_sym * scale:.3e})",
+                residual=resid_sym * scale)
         rayleigh_old = rayleigh
 
-    lam = rayleigh
+    lam = rayleigh * scale
     theta_pos = np.maximum(v, 0.0) / d
     theta_pos /= float(theta_pos @ wp)
-    residual = float(np.max(np.abs(lam * theta_pos - min_kernel_apply(xp, theta_pos * wp))))
-    if residual > 1e-6 * abs(lam):
+    resid_s = float(np.max(np.abs(
+        rayleigh * theta_pos - min_kernel_apply(xs, theta_pos * wp))))
+    residual = resid_s * scale
+    if resid_s > 1e-6 * abs(rayleigh):
         raise IterationLimitError(
             f"power iteration stalled with residual {residual:.3e} "
             f"(eigenvalue {lam:.6g})", residual=residual)

@@ -294,7 +294,13 @@ def test_solve_subcritical_composite_start():
     # a checkpoint within 1e-12 of the switch is the switch row
     ([0.0, 1.0 - 1e-13, 1.5], 1e-9, [(0.0, "transport"), (1.0, "critical"),
                                      (1.5, "critical")]),
-], ids=["loose_gel_tol", "same_name", "within_1e-12"])
+    # the name comes from the .12g text 1.0000005, so this checkpoint
+    # writes snapshot_t1.000001.csv and leaves the switch's name free
+    ([0.0, 1.0000004999999998, 1.5], 1e-9, [(0.0, "transport"),
+                                            (1.0, "critical"),
+                                            (1.0000004999999998, "critical"),
+                                            (1.5, "critical")]),
+], ids=["loose_gel_tol", "same_name", "within_1e-12", "name_from_12g_text"])
 def test_solve_records_the_switch_by_snapshot_name(checkpoints, gel_tol, rows):
     traj = af.solve(af.dirac(0.0), 1.5, EvolveOptions(
         dt=1e-3, checkpoints=checkpoints, gel_tol=gel_tol))

@@ -557,6 +557,10 @@ def test_run_rejects_a_horizon_before_the_current_time():
     # a horizon at the current time stays legal
     assert [r.t for r in af.run(g, 0.1, 0.5, [0.5])] == [0.5]
     assert g.t == 0.5
+    # checkpoints may start at the current time, not before it
+    with pytest.raises(af.InputError, match=r"lie in \[0\.5, 1\]"):
+        af.run(g, 0.1, 1.0, [0.25, 1.0])
+    assert [r.t for r in af.run(g, 0.1, 1.0, [0.5, 1.0])] == [0.5, 1.0]
 
 
 def test_run_rejects_a_non_finite_lightning_rate():
@@ -601,7 +605,7 @@ def test_run_collapses_duplicate_checkpoints_and_rejects_name_collisions():
     assert g.rng.bit_generator.state == state
 
 
-def test_edge_recount_cadence_is_exercised():
+def test_partition_stays_consistent_over_many_events():
     # ~25000 events (rate ~ n/2 per unit time) with many unions and strikes
     # leave the component state consistent
     n = 600

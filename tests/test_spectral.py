@@ -36,6 +36,26 @@ def test_single_atom_pair():
     assert pair.residual < 1e-14
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("a", [5e-324, 2.2e-308, 2.5e-237, 1e-200, 1e300, 1.7e308])
+def test_single_atom_pair_at_extreme_ages(a):
+    # lam(delta_a) = a; before the ages were scaled, mv @ mv underflowed
+    # to 0 for tiny a and the power iteration ran into its sweep cap
+    pair = af.leading_pair(af.dirac(a))
+    assert pair.lam == a and pair.theta.tolist() == [1.0]
+    assert pair.residual == 0.0
+
+
+@pytest.mark.parametrize("k", [-1000, -600, 600, 1000])
+def test_leading_pair_is_homogeneous_in_the_ages(k):
+    m = af.fixed_point_measure(200, 40.0)
+    pair = af.leading_pair(m)
+    scaled = af.leading_pair(af.AgeMeasure(np.ldexp(m.locations, k), m.masses))
+    assert scaled.lam == pytest.approx(math.ldexp(pair.lam, k), rel=1e-12)
+    np.testing.assert_allclose(scaled.theta, pair.theta, rtol=1e-10)
+    assert scaled.residual <= 1e-10 * scaled.lam
+
+
 def test_two_atom_pair_closed_form():
     pair = af.leading_pair(af.two_atom(0.5))
     assert abs(pair.lam - 1.0) < 1e-12

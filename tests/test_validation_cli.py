@@ -1,11 +1,13 @@
 """Validation suites and the command-line surface."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 import agefire as af
+from agefire import cli
 from agefire.cli import main
 from agefire.validation import run_suite
 
@@ -142,10 +144,12 @@ def test_cli_unknown_config_key_rejected(tmp_path):
 
 
 def test_cli_gel(capsys):
-    assert main(["gel", "--init", "dirac:0"]) == 0
-    printed = capsys.readouterr().out
-    assert printed.startswith("t_gel = ")
-    assert abs(float(printed.split("=")[1]) - 1.0) <= 1e-6
+    # t_gel of dirac(a) is 1 - a; a tiny age once broke the eigen-solve
+    for init in ("dirac:0", "dirac:1e-200"):
+        assert main(["gel", "--init", init]) == 0
+        printed = capsys.readouterr().out
+        assert printed.startswith("t_gel = ")
+        assert abs(float(printed.split("=")[1]) - 1.0) <= 1e-6
 
 
 def test_cli_fixedpoint(tmp_path, capsys):
@@ -175,7 +179,6 @@ def test_cli_validate_unknown_suite():
 
 
 def test_cli_validate_failure_exit_code(monkeypatch, capsys):
-    from agefire import cli
     from agefire.validation import CheckResult
 
     monkeypatch.setattr(cli, "run_suite", lambda name: [
@@ -216,6 +219,29 @@ def test_cli_simulate_iid_initial_ages(tmp_path):
     assert abs(snap.cdf(1.0) - 0.5) < 0.15  # ~Binomial(300, 1/2) fraction at 0
 
 
+def test_cli_simulate_iid_graph_follows_the_product_law(tmp_path,
+                                                       monkeypatch):
+    # n = 2 with ages 0 (mass 0.3) or 1/0.7 (mass 0.7): given two positive
+    # ages the edge is there with probability 1 - exp(-(1/0.7) / 2), and an
+    # age 0 leaves it out; the ages and the graph must not share a stream
+    drawn = []
+
+    def capture(graph, *args, **kwargs):
+        drawn.append((graph.ages().min(), graph.edge_count))
+        return []
+
+    monkeypatch.setattr(cli.mfffa, "run", capture)
+    monkeypatch.setattr(cli.mfffa, "write_sim_outputs", lambda *args: None)
+    assert main(["simulate", "--init", "iid:twoatom:0.7", "--n", "2",
+                 "--lightning", "0", "--t-max", "0", "--seeds", "3000",
+                 "--out", str(tmp_path / "s")]) == 0
+    edges = np.array([e for a, e in drawn if a > 0])
+    assert all(e == 0 for a, e in drawn if a == 0)
+    p = -math.expm1(-1 / 1.4)
+    assert 1300 < edges.size < 1700
+    assert abs(edges.mean() - p) < 5 * math.sqrt(p * (1 - p) / edges.size)
+
+
 def test_cli_simulate_rejects_multiatom_deterministic_init(tmp_path):
     assert main(["simulate", "--n", "50", "--lightning", "0", "--t-max", "0.1",
                  "--init", "twoatom:0.5", "--checkpoints", "0.1",
@@ -252,6 +278,9 @@ def _write_config(path, config):
     # finite rates whose mean wait is below half an ulp of t_max
     (["--n", "1", "--lightning", "1e308", "--t-max", "0.1"], None),
     (["--n", "2", "--lightning", "1e300"], None),
+    # ~1e8 and ~1e16 expected events: above the cap of 1e7 per replica
+    (["--n", "1", "--lightning", "1e9", "--t-max", "0.1"], None),
+    (["--n", "1", "--lightning", "1e17", "--t-max", "0.1"], None),
 ])
 def test_cli_simulate_rejects_bad_input(tmp_path, capsys, flags, config):
     # a dict config is written as JSON, a str config as raw text
@@ -392,10 +421,20 @@ def test_cli_compare_grid_mismatch(tmp_path):
           "0.5", "--out", str(traj_dir)])
     sim_dir = tmp_path / "sim"
     sim_dir.mkdir()
-    (sim_dir / "sim.csv").write_text(
-        "t,burned_cum,largest_cluster,n_clusters,phi_hat_window\n0.3,0,1,1,0\n")
-    assert main(["compare", "--traj-dir", str(traj_dir),
-                 "--sim-dir", str(sim_dir), "--out", str(tmp_path / "c")]) == 2
+    snap = "snapshot_t0.500000.csv"
+    (sim_dir / snap).write_text((traj_dir / snap).read_text())
+    # rows pair by snapshot name, so times up to ~1e-6 apart are one
+    # checkpoint: 0.5000004 pairs with 0.5, 0.5000006 does not
+    for k, (t_sim, code) in enumerate([("0.3", 2), ("0.5000006", 2),
+                                       ("0.5000004", 0)]):
+        (sim_dir / "sim.csv").write_text(
+            "t,burned_cum,largest_cluster,n_clusters,phi_hat_window\n"
+            f"{t_sim},0,1,1,0\n")
+        out = tmp_path / f"c{k}"
+        assert main(["compare", "--traj-dir", str(traj_dir),
+                     "--sim-dir", str(sim_dir), "--out", str(out)]) == code
+    rows = (out / "comparison.csv").read_text().splitlines()
+    assert rows[1:] == ["0.5000004,0,0,0"]
 
 
 @pytest.mark.parametrize("target, text", [
@@ -442,6 +481,23 @@ def test_cli_compare_rejects_missing_directories(tmp_path, capsys):
     assert err.startswith("input error:") and err.count("\n") == 1
     assert str(tmp_path / "nope" / "trajectory.csv") in err
     assert not out.exists()
+
+
+def test_cli_compare_pairs_rows_by_snapshot_name(tmp_path):
+    # 2.4999999999999998e-06 is written as the .12g text 2.5e-06; its files
+    # are named from that text, so compare finds them from the CSV rows
+    common = ["--init", "dirac:0", "--t-max", "5e-6",
+              "--checkpoints", "2.4999999999999998e-06,5e-6"]
+    traj, sim, cmp_dir = (tmp_path / d for d in ("s", "m", "c"))
+    assert main(["solve", *common, "--out", str(traj)]) == 0
+    assert main(["simulate", *common, "--n", "50", "--out", str(sim)]) == 0
+    assert main(["compare", "--traj-dir", str(traj), "--sim-dir", str(sim),
+                 "--out", str(cmp_dir)]) == 0
+    rows = (cmp_dir / "comparison.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[0] for r in rows] == ["2.5e-06", "5e-06"]
+    for d in (traj, sim / "seed_0"):
+        assert (d / "snapshot_t0.000003.csv").exists()
+    assert (sim / "seed_0" / "clusters_t0.000003.csv").exists()
 
 
 def test_cli_exit_code_accuracy_error(tmp_path):
