@@ -81,6 +81,14 @@ class AgeMeasure:
         object.__setattr__(self, "locations", locs)
         object.__setattr__(self, "masses", mass)
 
+    def __setstate__(self, state):
+        # pickle and copy restore the arrays writable and skip the
+        # constructor, whose checks (the mass tolerance of a probability
+        # measure too) the pickled value has already passed
+        self.__dict__.update(state)
+        self.locations.flags.writeable = False
+        self.masses.flags.writeable = False
+
     # -- basic functionals -------------------------------------------------
 
     @property
@@ -305,20 +313,24 @@ def from_named(preset: str, *params: float) -> ProbabilityAgeMeasure:
 # ---------------------------------------------------------------------------
 
 def w1(a: AgeMeasure, b: AgeMeasure) -> float:
-    """Exact W1 distance: integral of |F_a - F_b| over the atom grid.
+    """Exact W1 distance: integral of |F_a - F_b| between merged atoms.
 
-    Requires equal total masses (within W1_MASS_TOL); otherwise the CDF
-    difference does not vanish at infinity and the distance is infinite.
+    One stable sort merges the two sorted location arrays (timsort merges
+    two runs in linear time); the running sum of the signed masses +a, -b
+    is F_a - F_b on each gap.  Requires equal total masses (within
+    W1_MASS_TOL); otherwise the CDF difference does not vanish at infinity
+    and the distance is infinite.
     """
     if abs(a.total_mass() - b.total_mass()) > W1_MASS_TOL:
         raise InputError("W1 requires equal total masses")
     if a.n_atoms == 0 or b.n_atoms == 0:
         return abs(a.first_moment() - b.first_moment())
-    grid = np.union1d(a.locations, b.locations)
-    if grid.size < 2:
-        return 0.0
-    diff = a.cdf(grid[:-1]) - b.cdf(grid[:-1])
-    return float(np.abs(diff) @ np.diff(grid))
+    locs = np.concatenate((a.locations, b.locations))
+    order = np.argsort(locs, kind="stable")
+    gap_cdf = np.cumsum(np.concatenate((a.masses, -b.masses))[order][:-1])
+    # a multiply and a pairwise sum, not a BLAS dot: above 10 000 entries
+    # an unpinned OpenBLAS dot wakes its worker threads, which can cost ms
+    return float((np.abs(gap_cdf) * np.diff(locs[order])).sum())
 
 
 def merge_atoms(measure: AgeMeasure, eps: float) -> AgeMeasure:

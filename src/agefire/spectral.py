@@ -48,6 +48,10 @@ MAX_ITERS = 100_000
 #: fraction of the eigenvalue (or stops improving), so that the reported
 #: theta-form residual lands comfortably under 1e-10 * lam
 _RESID_FRAC = 1e-13
+#: a cold solve of at most this many positive atoms starts the power loop
+#: from 32 sweeps' worth of dense squarings (:func:`_squared_start`); near
+#: 100 atoms the O(N^3) squarings cost as much as the sweeps they save
+SQUARED_START_ATOMS = 64
 
 
 def min_kernel_apply(locations: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -87,6 +91,31 @@ class SpectralPair:
     def __post_init__(self):
         self.theta.flags.writeable = False
 
+    def __setstate__(self, state):
+        # pickle and copy restore theta writable; the source measure
+        # restores its own arrays
+        self.__dict__.update(state)
+        self.theta.flags.writeable = False
+
+
+def _squared_start(xs: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """K^32 d for K = d_i (xs_i ^ xs_j) d_j, up to a positive factor.
+
+    That is 32 power sweeps from the all-ones theta, made as five dense
+    squarings.  K is positive semi-definite, so after division by its trace
+    its eigenvalues lie in [0, 1] and sum to 1; dividing again after each
+    squaring keeps them there, so nothing overflows and the leading one
+    stays >= 1/N.
+    """
+    k = np.minimum.outer(xs, xs)
+    k *= d[:, None]
+    k *= d
+    k /= np.trace(k)
+    for _ in range(5):
+        k = k @ k
+        k /= np.trace(k)
+    return k @ d
+
 
 def _positive_part(measure: AgeMeasure):
     locs, mass = measure.locations, measure.masses
@@ -102,9 +131,11 @@ def leading_pair(measure: AgeMeasure, *, eigen_tol: float = EIGEN_TOL,
 
     ``start`` optionally seeds the iteration with approximate theta values
     at the atoms (warm start for integrator steps); the default is the
-    all-ones vector.  Raises DegenerateOperatorError when the measure is
-    supported on {0} and IterationLimitError (carrying the last residual)
-    if the sweep cap is hit.
+    all-ones vector, advanced 32 sweeps by :func:`_squared_start` when the
+    positive part has at most ``SQUARED_START_ATOMS`` atoms.  ``iterations``
+    counts the sweeps of the power loop only.  Raises
+    DegenerateOperatorError when the measure is supported on {0} and
+    IterationLimitError (carrying the last residual) if the sweep cap is hit.
     """
     xp, wp, has_zero_atom = _positive_part(measure)
     if xp.size == 0:
@@ -116,8 +147,8 @@ def leading_pair(measure: AgeMeasure, *, eigen_tol: float = EIGEN_TOL,
     scale = math.ldexp(1.0, math.frexp(xp[-1])[1] - 1)
     xs = xp / scale
     d = np.sqrt(wp)
-    if start is None:
-        v = d.copy()  # all-ones theta in symmetrized coordinates
+    if start is None:  # all-ones theta in symmetrized coordinates is d
+        v = _squared_start(xs, d) if xp.size <= SQUARED_START_ATOMS else d.copy()
     else:
         s = np.asarray(start, dtype=float)
         if s.shape != measure.locations.shape:

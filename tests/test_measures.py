@@ -2,6 +2,7 @@
 
 import heapq
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -90,6 +91,37 @@ def test_measures_are_immutable():
     m = af.two_atom(0.5)
     with pytest.raises(ValueError):
         m.locations[0] = 3.0
+
+
+def _assert_same_values(got, want):
+    """Type, field values and read-only arrays, recursing into measures and
+    eigenpairs."""
+    assert type(got) is type(want)
+    if isinstance(want, np.ndarray):
+        assert np.array_equal(got, want) and not got.flags.writeable
+    elif isinstance(want, (af.AgeMeasure, af.SpectralPair, af.SimRecord,
+                           af.EvolutionState)):
+        assert vars(got).keys() == vars(want).keys()
+        for name, value in vars(want).items():
+            _assert_same_values(getattr(got, name), value)
+    else:
+        assert got == want
+
+
+def test_values_survive_pickling_read_only():
+    # values cross a process boundary as pickles and stay safe to share
+    pi = af.fixed_point_measure(10, 40.0)
+    loose = af.AgeMeasure([1.0, 2.0], [0.5, 0.5 + 5e-10]).as_probability(tol=1e-9)
+    with pytest.raises(af.InputError):
+        af.ProbabilityAgeMeasure(loose.locations, loose.masses)
+    state = af.solve(pi, 0.01, af.EvolveOptions(dt=5e-3)).states[-1]
+    record = af.run(af.sample_irg(pi.locations, seed=1), 0.5, 0.5, [0.5],
+                    seed=2)[-1]
+    values = [af.AgeMeasure([0.0, 1.5], [0.25, 2.0]), af.AgeMeasure([], []),
+              pi, loose, af.leading_pair(pi), state, record]
+    for value in values:
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            _assert_same_values(pickle.loads(pickle.dumps(value, protocol)), value)
 
 
 def _sorted_canonical(locs, mass):
@@ -274,6 +306,78 @@ def test_w1_matches_lp_oracle_on_small_measures():
         a = random_probability_measure(rng, max_atoms=6)
         b = random_probability_measure(rng, max_atoms=6)
         assert abs(af.w1(a, b) - lp_w1(a, b)) < 1e-9
+
+
+def _grid_w1(a, b):
+    """Oracle: |F_a - F_b| integrated over the union grid, with one CDF
+    search per measure."""
+    if a.n_atoms == 0 or b.n_atoms == 0:
+        return abs(a.first_moment() - b.first_moment())
+    grid = np.union1d(a.locations, b.locations)
+    if grid.size < 2:
+        return 0.0
+    diff = a.cdf(grid[:-1]) - b.cdf(grid[:-1])
+    return float(np.abs(diff) @ np.diff(grid))
+
+
+def _extended_w1(a, b):
+    """Oracle: the merge form of W1 in extended precision (np.longdouble)."""
+    locs = np.concatenate((a.locations, b.locations)).astype(np.longdouble)
+    order = np.argsort(locs, kind="stable")
+    signed = np.concatenate((a.masses, -b.masses)).astype(np.longdouble)
+    gap_cdf = np.cumsum(signed[order][:-1])
+    return float(np.sum(np.abs(gap_cdf) * np.diff(locs[order])))
+
+
+def _w1_oracle_pairs(rng):
+    """Random pairs, pairs that share locations, zero and single atoms,
+    empty measures and a mass mismatch within W1_MASS_TOL."""
+    pairs = [(af.dirac(1.0), af.dirac(1.0)), (af.dirac(0.0), af.dirac(2.5)),
+             (af.dirac(3.0), af.two_atom(0.25)), (af.two_atom(0.5), af.dirac(0.0)),
+             (af.AgeMeasure([], []), af.AgeMeasure([2.0], [5e-10])),
+             (af.AgeMeasure([], []), af.AgeMeasure([], []))]
+    for _ in range(200):
+        a = random_probability_measure(rng)
+        b = random_probability_measure(rng)
+        pairs.append((a, b))
+        # b keeps about half of a's locations and moves the rest
+        keep = rng.random(a.n_atoms) < 0.5
+        locs = np.where(keep, a.locations, rng.uniform(0.0, 10.0, a.n_atoms))
+        mass = rng.uniform(0.05, 1.0, a.n_atoms)
+        shared = af.ProbabilityAgeMeasure(locs, mass / mass.sum())
+        pairs.append((a, shared))
+        skew = 1.0 + float(rng.uniform(-0.5, 0.5)) * af.measures.W1_MASS_TOL
+        pairs.append((shared, af.AgeMeasure(b.locations, b.masses * skew)))
+    return pairs
+
+
+def test_w1_matches_grid_oracle():
+    rng = np.random.default_rng(41)
+    for a, b in _w1_oracle_pairs(rng):
+        dist = af.w1(a, b)
+        assert abs(dist - _grid_w1(a, b)) <= 1e-14 * (1.0 + dist)
+        assert af.w1(a, a) == 0.0 and af.w1(b, b) == 0.0
+
+
+def test_w1_matches_grid_oracle_at_16000_atoms():
+    # a running sum of N masses of total <= 2 carries a rounding error of at
+    # most N * eps on each gap, so two forms of W1 agree to N * eps * span;
+    # past a few hundred atoms that exceeds 1e-14 (equal masses round the
+    # same way at every step); the extended-precision oracle shows that the
+    # merge form stays within the same rounding bound
+    rng = np.random.default_rng(43)
+    fp = af.fixed_point_measure(16_000, 40.0)
+    pairs = [(fp, fp.translate(0.5)), (af.dirac(1.0), fp)]
+    pairs += [tuple(random_probability_measure(rng, max_atoms=16_000,
+                                               min_atoms=16_000) for _ in "ab")
+              for _ in range(3)]
+    for a, b in pairs:
+        dist = af.w1(a, b)
+        span = max(a.locations[-1], b.locations[-1])
+        tol = np.finfo(float).eps * (a.n_atoms + b.n_atoms) * span
+        assert abs(dist - _grid_w1(a, b)) <= tol
+        assert abs(dist - _extended_w1(a, b)) <= tol
+        assert af.w1(a, a) == 0.0
 
 
 def test_translate():

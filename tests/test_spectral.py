@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 import agefire as af
-from agefire.spectral import (EIGEN_TOL, MAX_ITERS, _RESID_FRAC,
-                              _positive_part, min_kernel_apply)
+from agefire.spectral import (EIGEN_TOL, MAX_ITERS, SQUARED_START_ATOMS,
+                              _RESID_FRAC, _positive_part, min_kernel_apply)
 from agefire.validation import random_probability_measure
 
 
@@ -135,11 +135,17 @@ def _two_scan_min_kernel_apply(locations, u):
 
 
 def _oracle_leading_pair(measure, *, eigen_tol=EIGEN_TOL, max_iters=MAX_ITERS,
-                         start=None):
-    """Oracle: the power loop with two-scan products and np.linalg.norm."""
+                         start=None, sym_start=None):
+    """Oracle: the power loop with two-scan products and np.linalg.norm.
+
+    ``sym_start`` is a start in symmetrized coordinates (theta * sqrt(w)),
+    such as the squared start of a small cold solve.
+    """
     xp, wp, has_zero_atom = _positive_part(measure)
     d = np.sqrt(wp)
-    if start is None:
+    if sym_start is not None:
+        v = sym_start
+    elif start is None:
         v = d.copy()
     else:
         s = np.asarray(start, dtype=float)
@@ -192,7 +198,24 @@ def test_min_kernel_apply_equals_two_scan_oracle():
         assert np.array_equal(got, _two_scan_min_kernel_apply(x, u))
 
 
-def test_leading_pair_equals_oracle_power_loop():
+def _spy_squared_start(monkeypatch):
+    """Record every (xs, d, start) of the package's squared start."""
+    calls = []
+    squared_start = af.spectral._squared_start
+
+    def spy(xs, d):
+        calls.append((xs, d, squared_start(xs, d)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(af.spectral, "_squared_start", spy)
+    return calls
+
+
+def test_leading_pair_equals_oracle_power_loop(monkeypatch):
+    # a cold solve of <= SQUARED_START_ATOMS positive atoms starts from the
+    # package's squared start; the oracle loop gets the same start, so the
+    # loop is checked bit for bit on every path
+    squared = _spy_squared_start(monkeypatch)
     rng = np.random.default_rng(29)
     measures = [af.dirac(1.0), af.two_atom(0.5), af.three_atom(10),
                 af.fixed_point_measure(500, 40.0)]
@@ -202,12 +225,66 @@ def test_leading_pair_equals_oracle_power_loop():
         cold = af.leading_pair(m)
         starts = [None, cold.theta,
                   cold.theta * rng.uniform(0.9, 1.1, size=m.n_atoms)]
+        small = _positive_part(m)[0].size <= SQUARED_START_ATOMS
         for start in starts:
+            squared.clear()
             pair = af.leading_pair(m, start=start)
-            lam, theta, residual, iters = _oracle_leading_pair(m, start=start)
+            assert len(squared) == (start is None and small)
+            sym_start = squared[0][2] if squared else None
+            lam, theta, residual, iters = _oracle_leading_pair(
+                m, start=start, sym_start=sym_start)
             assert pair.lam == lam and pair.iterations == iters
             assert np.array_equal(pair.theta, theta)
             assert pair.residual == residual
+
+
+def _cold_path_measures(rng):
+    """Measures for the two cold starts: both sides of the size limit, zero
+    atoms, tiny ages and tiny masses."""
+    limit = SQUARED_START_ATOMS
+    out = [af.dirac(2.0), af.two_atom(0.5), af.three_atom(50),
+           af.AgeMeasure([0.0, 3.0], [0.5, 0.25])]
+    for n in (1, 2, limit - 1, limit, limit + 1):
+        for zero_atom_prob in (0.0, 1.0):
+            out.append(random_probability_measure(
+                rng, max_atoms=n, min_atoms=n, zero_atom_prob=zero_atom_prob))
+    while len(out) < 240:
+        m = random_probability_measure(rng, max_atoms=limit + 6)
+        x, w = m.locations, m.masses
+        kind = len(out) % 4
+        if kind == 1:  # every age near 1e-200
+            m = af.AgeMeasure(x * 1e-200, w)
+        elif kind == 2:  # some ages near 1e-200 beside ordinary ones
+            m = af.AgeMeasure(np.where(rng.random(x.size) < 0.5, x * 1e-200, x), w)
+        elif kind == 3:  # some masses near 1e-300
+            tiny = rng.random(x.size) < 0.5
+            tiny[-1] = False  # keep one ordinary mass
+            m = af.AgeMeasure(x, np.where(tiny, w * 1e-300, w))
+        out.append(m)
+    return out
+
+
+def test_squared_cold_start_matches_power_loop(monkeypatch):
+    rng = np.random.default_rng(31)
+    squared = _spy_squared_start(monkeypatch)
+    for m in _cold_path_measures(rng):
+        n_pos = _positive_part(m)[0].size
+        squared.clear()
+        pair = af.leading_pair(m)
+        assert len(squared) == (n_pos <= SQUARED_START_ATOMS)
+        with monkeypatch.context() as loop_only:
+            loop_only.setattr(af.spectral, "SQUARED_START_ATOMS", 0)
+            loop = af.leading_pair(m)
+        assert len(squared) == (n_pos <= SQUARED_START_ATOMS)  # loop only
+        assert abs(pair.lam - loop.lam) <= 1e-12 * loop.lam
+        np.testing.assert_allclose(pair.theta, loop.theta, rtol=1e-7, atol=1e-9)
+        assert pair.residual <= 1e-10 * pair.lam
+        if squared:  # the start is K^32 d: 32 sweeps from the all-ones theta
+            xs, d, got = squared[0]
+            k = d[:, None] * np.minimum.outer(xs, xs) * d[None, :]
+            want = np.linalg.matrix_power(k / np.trace(k), 32) @ d
+            assert np.max(np.abs(got / np.linalg.norm(got)
+                                 - want / np.linalg.norm(want))) <= 1e-12
 
 
 def test_min_kernel_apply_matches_dense():
