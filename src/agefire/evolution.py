@@ -34,7 +34,7 @@ unit time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -71,7 +71,10 @@ class EvolutionState:
     ``speed_budget`` accumulates the integral of phi * (age-weighted theta
     mass) along the run; consecutive differences bound the W1 displacement
     between checkpoints.  ``pair`` is None only for the degenerate measure
-    concentrated at age 0.
+    concentrated at age 0.  ``history`` holds the (t, theta) of up to three
+    earlier steps, newest first, for the next step's warm start
+    (:func:`_atom_frame_start`); states recorded in a :class:`Trajectory`
+    hold none.
     """
 
     t: float
@@ -81,6 +84,15 @@ class EvolutionState:
     mode: str                      # "transport" or "critical"
     lambda_drift: float = 0.0
     speed_budget: float = 0.0
+    history: tuple[tuple[float, np.ndarray], ...] = field(default=(),
+                                                          repr=False)
+
+    def __setstate__(self, state):
+        # pickle and copy restore the history's arrays writable; the
+        # measure and the pair restore their own
+        self.__dict__.update(state)
+        for _, theta in self.history:
+            theta.flags.writeable = False
 
     @property
     def lam(self) -> float:
@@ -114,12 +126,46 @@ class Trajectory:
         raise InputError(f"no checkpoint at t = {t!r}")
 
 
-def _critical_state(t, pi, *, speed_budget=0.0, start=None, pair=None):
+def _critical_state(t, pi, *, speed_budget=0.0, start=None, pair=None,
+                    history=()):
     """The critical-mode state of pi; ``pair`` is its eigenpair if known."""
     pair = leading_pair(pi, start=start) if pair is None else pair
     return EvolutionState(
         t=t, pi=pi, pair=pair, phi=phi_of_pair(pair), mode="critical",
-        lambda_drift=abs(pair.lam - 1.0), speed_budget=speed_budget)
+        lambda_drift=abs(pair.lam - 1.0), speed_budget=speed_budget,
+        history=history)
+
+
+def _atom_frame_start(state: EvolutionState, t_new: float,
+                      start: np.ndarray) -> np.ndarray:
+    """Warm start for the eigen-solve of the step from ``state`` to t_new.
+
+    theta's kinks sit on the atoms and move with them, so theta at a fixed
+    age is not smooth in time, but theta at a fixed atom is.  When each of
+    the last four steps added exactly one atom (the newborn) and merged
+    none, atom j of the new measure is atom j - k of the state k steps
+    back, and its theta is the cubic Lagrange extrapolation to t_new of
+    those four values (weights 4, -6, 4, -1 for equal steps).  ``start``
+    (theta of ``state`` at the new ages) is kept for the four youngest
+    atoms, and entirely when the counts do not fit or a time gap in the
+    window is below half the new step.
+    """
+    hist = ((state.t, state.pair.theta), *state.history)
+    n_new = start.size
+    if len(hist) < 4 or any(theta.size != n_new - 1 - k
+                            for k, (_, theta) in enumerate(hist)):
+        return start
+    ts = [t for t, _ in hist]
+    gaps = -np.diff([t_new, *ts])
+    if gaps.min() < 0.5 * gaps[0]:
+        return start
+    out = start.copy()
+    out[4:] = 0.0
+    for k, (tk, theta) in enumerate(hist):
+        weight = math.prod((t_new - tm) / (tk - tm)
+                           for m, tm in enumerate(ts) if m != k)
+        out[4:] += weight * theta[3 - k:]
+    return out
 
 
 def _check_budgets(**budgets: float) -> None:
@@ -150,13 +196,17 @@ def step(state: EvolutionState, dt: float, *, merge_eps: float = 1e-6,
     # piecewise linear between the old atoms and flat past the last one, so
     # interpolating its atom values gives theta_at up to the eigen residual;
     # below the first old atom the clamp only feeds the age-0 entry, which
-    # leading_pair ignores
-    start = np.interp(new_pi.locations, pi.locations, pair.theta)
+    # leading_pair ignores.  Older atoms extrapolate in their own frame
+    # when the last steps allow it
+    start = _atom_frame_start(
+        state, state.t + dt,
+        np.interp(new_pi.locations, pi.locations, pair.theta))
     budget_gain = rate * float(
         (pi.locations * pair.theta * pi.masses).sum()) * dt
     new_state = _critical_state(
         state.t + dt, new_pi, start=start,
-        speed_budget=state.speed_budget + budget_gain)
+        speed_budget=state.speed_budget + budget_gain,
+        history=((state.t, pair.theta), *state.history[:2]))
     if new_state.lambda_drift > lambda_drift_budget:
         raise AccuracyError(
             f"criticality drift |lam - 1| = {new_state.lambda_drift:.3e} exceeds "
@@ -265,7 +315,7 @@ def solve(pi0: ProbabilityAgeMeasure, t_max: float,
             state = step(state, h, merge_eps=opts.merge_eps,
                          lambda_drift_budget=opts.lambda_drift_budget)
         state = replace(state, t=target)  # absorb <=1e-12 rounding in t
-        states.append(state)
+        states.append(replace(state, history=()))
     return Trajectory(tuple(states), t_gel=t_gel,
                       switch_lambda_jump=switch.lambda_drift)
 

@@ -142,11 +142,17 @@ def leading_pair(measure: AgeMeasure, *, eigen_tol: float = EIGEN_TOL,
         raise DegenerateOperatorError(
             "measure is supported on {0}; the min-kernel operator is zero")
     # min(x, y) is homogeneous: iterate on the ages over a power of two near
-    # the largest, so that tiny ages do not underflow.  A power of two scales
-    # exactly, so ordinary measures give the same bits as unscaled ages.
-    scale = math.ldexp(1.0, math.frexp(xp[-1])[1] - 1)
-    xs = xp / scale
-    d = np.sqrt(wp)
+    # the largest, and on the masses times an even power of two that brings
+    # their total near 1, so that tiny or huge ages and masses neither
+    # underflow nor overflow.  lam is homogeneous of degree 1 in both, and
+    # d = sqrt(w) scales by the exact half power, so ordinary measures give
+    # the same bits as unscaled ones; ``scale`` undoes both factors.
+    age_scale = math.ldexp(1.0, math.frexp(xp[-1])[1] - 1)
+    mass_exp = 2 * (math.frexp(float(wp.sum()))[1] // 2)
+    scale = math.ldexp(age_scale, mass_exp)
+    xs = xp / age_scale
+    ws = np.ldexp(wp, -mass_exp) if mass_exp else wp
+    d = np.sqrt(ws)
     if start is None:  # all-ones theta in symmetrized coordinates is d
         v = _squared_start(xs, d) if xp.size <= SQUARED_START_ATOMS else d.copy()
     else:
@@ -167,6 +173,10 @@ def leading_pair(measure: AgeMeasure, *, eigen_tol: float = EIGEN_TOL,
         mv = d * min_kernel_apply(xs, d * v)
         rayleigh = float(v @ mv)
         resid_sym = float(np.max(np.abs(mv - rayleigh * v)))
+        if not math.isfinite(resid_sym):
+            raise IterationLimitError(
+                f"power iteration broke down (symmetric residual "
+                f"{resid_sym})", residual=resid_sym)
         v = mv / math.sqrt(mv @ mv)
         iters += 1
         if resid_sym < 0.999 * best_resid:
@@ -188,14 +198,17 @@ def leading_pair(measure: AgeMeasure, *, eigen_tol: float = EIGEN_TOL,
 
     lam = rayleigh * scale
     theta_pos = np.maximum(v, 0.0) / d
-    theta_pos /= float(theta_pos @ wp)
+    theta_pos /= float(theta_pos @ ws)
+    # lam * theta and K(theta * w) keep their values when the masses scale
     resid_s = float(np.max(np.abs(
-        rayleigh * theta_pos - min_kernel_apply(xs, theta_pos * wp))))
-    residual = resid_s * scale
+        rayleigh * theta_pos - min_kernel_apply(xs, theta_pos * ws))))
+    residual = resid_s * age_scale
     if resid_s > 1e-6 * abs(rayleigh):
         raise IterationLimitError(
             f"power iteration stalled with residual {residual:.3e} "
             f"(eigenvalue {lam:.6g})", residual=residual)
+    if mass_exp:
+        theta_pos = np.ldexp(theta_pos, -mass_exp)
     theta = np.concatenate(([0.0], theta_pos)) if has_zero_atom else theta_pos
     return SpectralPair(lam=lam, theta=theta, source=measure,
                         residual=residual, iterations=iters)
@@ -235,7 +248,8 @@ def theta_sup(pair: SpectralPair) -> float:
 
 def phi_of_pair(pair: SpectralPair) -> float:
     """Burning-rate functional evaluated from a precomputed eigenpair."""
-    cube = float((pair.theta ** 3 * pair.source.masses).sum())
+    theta = pair.theta
+    cube = float((theta * theta * theta * pair.source.masses).sum())
     return 1.0 / cube
 
 

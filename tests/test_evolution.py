@@ -2,12 +2,15 @@
 
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import agefire as af
-from agefire.evolution import EvolveOptions, _critical_state
+from agefire.evolution import (EvolveOptions, _atom_frame_start,
+                               _critical_state)
 from agefire.validation import random_probability_measure
 from test_measures import _heap_merge_atoms
 
@@ -59,8 +62,10 @@ def test_step_rejects_bad_input():
             af.step(state, 1e-3, **budgets)
 
 
-def _theta_at_step(state, dt, *, merge_eps=1e-6, lambda_drift_budget=1e-3):
-    """Oracle: the step warm-started from theta_at at the new atom ages."""
+def _oracle_step(state, dt, start_at, *, merge_eps, lambda_drift_budget,
+                 history):
+    """The step with its warm start from ``start_at(state, new_pi)``; the
+    new state keeps the last thetas when ``history`` is true."""
     pi, pair, rate = state.pi, state.pair, state.phi
     decayed = pi.masses * np.exp(-rate * pair.theta * dt)
     lost = float(pi.masses.sum() - decayed.sum())
@@ -68,14 +73,36 @@ def _theta_at_step(state, dt, *, merge_eps=1e-6, lambda_drift_budget=1e-3):
                                       np.concatenate(([lost], decayed)))
     if merge_eps > 0.0:
         new_pi = af.merge_atoms(new_pi, merge_eps * dt)
-    start = af.theta_at(pair, new_pi.locations)
+    start = start_at(state, new_pi)
     budget_gain = rate * float(
         (pi.locations * pair.theta * pi.masses).sum()) * dt
-    new_state = _critical_state(state.t + dt, new_pi, start=start,
-                                speed_budget=state.speed_budget + budget_gain)
+    new_state = _critical_state(
+        state.t + dt, new_pi, start=start,
+        speed_budget=state.speed_budget + budget_gain,
+        history=((state.t, pair.theta), *state.history[:2]) if history else ())
     if new_state.lambda_drift > lambda_drift_budget:
         raise af.AccuracyError("drift over budget")
     return new_state
+
+
+def _theta_at_step(state, dt, *, merge_eps=1e-6, lambda_drift_budget=1e-3):
+    """Oracle: the step with theta_at, not np.interp, at the new atom ages
+    wherever the atom-frame extrapolation does not start them."""
+    def start_at(state, new_pi):
+        return _atom_frame_start(state, state.t + dt,
+                                 af.theta_at(state.pair, new_pi.locations))
+    return _oracle_step(state, dt, start_at, merge_eps=merge_eps,
+                        lambda_drift_budget=lambda_drift_budget, history=True)
+
+
+def _interp_step(state, dt, *, merge_eps=1e-6, lambda_drift_budget=1e-3):
+    """Oracle: the step warm-started from np.interp of the old theta at every
+    new atom age, with no extrapolation."""
+    def start_at(state, new_pi):
+        return np.interp(new_pi.locations, state.pi.locations,
+                         state.pair.theta)
+    return _oracle_step(state, dt, start_at, merge_eps=merge_eps,
+                        lambda_drift_budget=lambda_drift_budget, history=False)
 
 
 @pytest.mark.parametrize("pi0, t_max", [
@@ -85,7 +112,8 @@ def _theta_at_step(state, dt, *, merge_eps=1e-6, lambda_drift_budget=1e-3):
 ], ids=["fp2000", "dirac0", "two_atom"])
 def test_interpolated_warm_start_matches_theta_at_oracle(pi0, t_max, monkeypatch):
     # np.interp of the atom values is theta_at up to the eigen residual, so
-    # the two warm starts give the same trajectory to rounding
+    # the two warm starts give the same trajectory to rounding; both
+    # extrapolate the older atoms in their own frame
     opts = EvolveOptions(dt=1e-3)
     traj = af.solve(pi0, t_max, opts)
     monkeypatch.setattr(af.evolution, "step", _theta_at_step)
@@ -119,6 +147,134 @@ def test_merging_solve_matches_heap_oracle(monkeypatch):
         assert np.array_equal(got.pi.locations, want.pi.locations)
         assert np.array_equal(got.pi.masses, want.pi.masses)
         assert np.array_equal(got.pair.theta, want.pair.theta)
+
+
+def test_merging_solve_falls_back_to_interpolated_start(monkeypatch):
+    # a merge in every step breaks the atom correspondence, so every warm
+    # start is np.interp of the old theta and the solve keeps its bits
+    pi0 = small_fixed_point()
+    opts = EvolveOptions(dt=1e-2, merge_eps=1e-2, checkpoints=[0.0, 0.5, 1.0])
+    traj = af.solve(pi0, 1.0, opts)
+    monkeypatch.setattr(af.evolution, "step", _interp_step)
+    ref = af.solve(pi0, 1.0, opts)
+    assert len(traj.states) == len(ref.states)
+    for got, want in zip(traj.states, ref.states):
+        assert (got.t, got.mode, got.lam, got.phi, got.lambda_drift,
+                got.speed_budget) == (want.t, want.mode, want.lam, want.phi,
+                                      want.lambda_drift, want.speed_budget)
+        assert np.array_equal(got.pi.locations, want.pi.locations)
+        assert np.array_equal(got.pi.masses, want.pi.masses)
+        assert np.array_equal(got.pair.theta, want.pair.theta)
+        assert got.history == ()
+
+
+def _dense_leading(measure):
+    """Oracle: the leading eigenpair of the dense symmetrized kernel and its
+    burning rate.  Only the leading pair is computed, at about half the cost
+    of a full eigh on 3 000 atoms."""
+    pos = measure.locations > 0
+    x, w = measure.locations[pos], measure.masses[pos]
+    d = np.sqrt(w)
+    sym = d[:, None] * np.minimum.outer(x, x) * d[None, :]
+    n = x.size
+    vals, vecs = scipy.linalg.eigh(sym, subset_by_index=[n - 1, n - 1])
+    theta = np.abs(vecs[:, 0]) / d
+    theta /= float(theta @ w)
+    return float(vals[0]), theta, 1.0 / float((theta ** 3 * w).sum())
+
+
+@pytest.mark.parametrize("pi0, t_max, phi_tol, theta_tol", [
+    (af.fixed_point_measure(2000, 40.0), 1.0, 3.8e-13, 1.5e-12),
+    (af.dirac(0.0), 1.5, 7.9e-15, 3.2e-14),
+    (af.two_atom(0.5), 1.0, 4.6e-14, 9.3e-14),
+], ids=["fp2000", "dirac0", "two_atom"])
+def test_warm_solves_match_dense_eigh(pi0, t_max, phi_tol, theta_tol):
+    # the tolerances are the largest errors of the np.interp warm start
+    # against this oracle over the same checkpoints, rounded up to two
+    # digits; the atom-frame start must be no less accurate
+    traj = af.solve(pi0, t_max, EvolveOptions(dt=1e-3))
+    critical = [s for s in traj.states if s.mode == "critical"]
+    assert len(critical) >= 5
+    for s in critical:
+        lam, theta, phi = _dense_leading(s.pi)
+        assert abs(s.lam - lam) <= 1e-14
+        assert abs(s.phi - phi) <= phi_tol
+        assert np.max(np.abs(s.pair.theta[s.pi.locations > 0] - theta)) \
+            <= theta_tol
+
+
+def test_warm_solves_take_about_two_sweeps(monkeypatch):
+    # near stationarity a sweep shrinks the error only 6x; an np.interp
+    # start needs 7 sweeps a step, the atom-frame start about 2
+    sweeps = []
+    exact = af.evolution.leading_pair
+
+    def counting(m, **kw):
+        pair = exact(m, **kw)
+        if kw.get("start") is not None:
+            sweeps.append(pair.iterations)
+        return pair
+
+    monkeypatch.setattr(af.evolution, "leading_pair", counting)
+    af.solve(af.fixed_point_measure(2000, 40.0), 1.0, EvolveOptions(dt=1e-3))
+    assert len(sweeps) == 1000
+    assert np.mean(sweeps) <= 3.0
+
+
+def test_recorded_states_hold_no_history():
+    traj = af.solve(af.two_atom(0.5), 0.1, EvolveOptions(dt=1e-3))
+    assert all(s.history == () for s in traj.states)
+    state = traj.states[-1]
+    for _ in range(5):
+        state = af.step(state, 1e-3)
+    assert [t for t, _ in state.history] == pytest.approx([0.104, 0.103,
+                                                           0.102])
+
+
+def _cubic_history(times, n0):
+    """A state at times[-1] and its history, whose atom ages follow one
+    another from step to step and whose theta along each atom is a cubic
+    in time; and the function giving theta at the step's atoms."""
+    coef = np.random.default_rng(5).random((4, n0 + 2 * len(times)))
+
+    def theta(step, t):
+        atom = step - np.arange(n0 + step) + n0  # the same atom over steps
+        return coef[:, atom].T @ np.array([1.0, t, t * t, t * t * t])
+
+    thetas = [(t, theta(k, t)) for k, t in enumerate(times)]
+    state = SimpleNamespace(t=times[-1],
+                            pair=SimpleNamespace(theta=thetas[-1][1]),
+                            history=tuple(reversed(thetas[:-1]))[:3])
+    return state, theta
+
+
+@pytest.mark.parametrize("times", [
+    [0.0, 0.01, 0.02, 0.03],
+    [0.0, 0.01, 0.02, 0.025],    # a short last step before a checkpoint
+    [0.0, 0.004, 0.009, 0.015],
+])
+def test_atom_frame_start_extrapolates_cubics_exactly(times):
+    # cubic Lagrange extrapolation in each atom's frame, with the weights
+    # from the actual times; the four youngest atoms keep the given start
+    state, theta = _cubic_history(times, n0=10)
+    t_new = times[-1] + 0.005
+    start = np.full(10 + len(times), -1.0)
+    got = _atom_frame_start(state, t_new, start)
+    np.testing.assert_allclose(got[4:], theta(len(times), t_new)[4:],
+                               rtol=1e-12)
+    assert (got[:4] == -1.0).all() and (start == -1.0).all()
+
+
+@pytest.mark.parametrize("times, n_new", [
+    ([0.0, 0.01, 0.02, 0.03], 13),      # a step merged one pair
+    ([0.0, 0.01, 0.02, 0.03], 15),
+    ([0.01, 0.02, 0.03], 13),           # a history shorter than four
+    ([0.0, 0.01, 0.0124, 0.03], 14),    # a gap below half the new step
+])
+def test_atom_frame_start_falls_back_to_the_given_start(times, n_new):
+    state, _ = _cubic_history(times, n0=10)
+    start = np.full(n_new, -1.0)
+    assert _atom_frame_start(state, 0.04, start) is start
 
 
 # ---------------------------------------------------------------------------

@@ -94,11 +94,15 @@ def test_measures_are_immutable():
 
 
 def _assert_same_values(got, want):
-    """Type, field values and read-only arrays, recursing into measures and
-    eigenpairs."""
+    """Type, field values and read-only arrays, recursing into tuples,
+    measures and eigenpairs."""
     assert type(got) is type(want)
     if isinstance(want, np.ndarray):
         assert np.array_equal(got, want) and not got.flags.writeable
+    elif isinstance(want, tuple):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            _assert_same_values(g, w)
     elif isinstance(want, (af.AgeMeasure, af.SpectralPair, af.SimRecord,
                            af.EvolutionState)):
         assert vars(got).keys() == vars(want).keys()
@@ -115,10 +119,12 @@ def test_values_survive_pickling_read_only():
     with pytest.raises(af.InputError):
         af.ProbabilityAgeMeasure(loose.locations, loose.masses)
     state = af.solve(pi, 0.01, af.EvolveOptions(dt=5e-3)).states[-1]
+    stepped = af.step(af.step(state, 5e-3), 5e-3)  # holds a history
+    assert len(stepped.history) == 2
     record = af.run(af.sample_irg(pi.locations, seed=1), 0.5, 0.5, [0.5],
                     seed=2)[-1]
     values = [af.AgeMeasure([0.0, 1.5], [0.25, 2.0]), af.AgeMeasure([], []),
-              pi, loose, af.leading_pair(pi), state, record]
+              pi, loose, af.leading_pair(pi), state, stepped, record]
     for value in values:
         for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
             _assert_same_values(pickle.loads(pickle.dumps(value, protocol)), value)

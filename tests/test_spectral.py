@@ -3,6 +3,7 @@
 import inspect
 import math
 import pickle
+import time
 
 import numpy as np
 import pytest
@@ -54,6 +55,49 @@ def test_leading_pair_is_homogeneous_in_the_ages(k):
     assert scaled.lam == pytest.approx(math.ldexp(pair.lam, k), rel=1e-12)
     np.testing.assert_allclose(scaled.theta, pair.theta, rtol=1e-10)
     assert scaled.residual <= 1e-10 * scaled.lam
+
+
+@pytest.mark.parametrize("k", [-500, -1, 1, 500])
+def test_leading_pair_is_homogeneous_in_the_masses(k):
+    # the masses are iterated on times an even power of two, so that
+    # sqrt(w) scales exactly: lam(2^-2k pi) = 2^-2k lam(pi) to the bit
+    for m in (af.fixed_point_measure(200, 40.0), af.two_atom(0.5),
+              af.three_atom(50)):
+        scaled_m = af.AgeMeasure(m.locations, np.ldexp(m.masses, -2 * k))
+        for start in (None, np.ones(m.n_atoms)):
+            pair = af.leading_pair(m, start=start)
+            scaled = af.leading_pair(scaled_m, start=start)
+            assert scaled.lam == math.ldexp(pair.lam, -2 * k)
+            assert np.array_equal(scaled.theta, np.ldexp(pair.theta, 2 * k))
+            assert scaled.residual == pair.residual
+            assert scaled.iterations == pair.iterations
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("squared", [True, False], ids=["squared", "loop"])
+def test_tiny_total_mass_is_solved_at_once(squared, monkeypatch):
+    # the unscaled iteration underflowed here and ran 100 000 NaN sweeps
+    if not squared:
+        monkeypatch.setattr(af.spectral, "SQUARED_START_ATOMS", 0)
+    tiny = af.AgeMeasure([1.0, 2.0, 3.0], [1e-300, 2e-300, 1e-300])
+    began = time.perf_counter()
+    pair = af.leading_pair(tiny)
+    assert time.perf_counter() - began < 0.1
+    ref = af.leading_pair(af.AgeMeasure([1.0, 2.0, 3.0], [1.0, 2.0, 1.0]))
+    assert pair.lam == pytest.approx(ref.lam * 1e-300, rel=1e-14)
+    np.testing.assert_allclose(pair.theta, ref.theta * 1e300, rtol=1e-13)
+    assert pair.residual <= 1e-10 * ref.lam
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_residual_stops_at_once():
+    # the total mass overflows, so the first sweep is already NaN
+    huge = af.AgeMeasure([1.0, 2.0, 3.0], [1e308, 1e308, 1e308])
+    began = time.perf_counter()
+    with pytest.raises(af.IterationLimitError) as err:
+        af.leading_pair(huge, start=np.ones(3))
+    assert time.perf_counter() - began < 0.1
+    assert math.isnan(err.value.residual)
 
 
 def test_two_atom_pair_closed_form():
@@ -349,6 +393,20 @@ def test_phi_closed_forms():
     for p in (0.1, 0.25, 0.5, 1.0):
         assert abs(af.phi(af.two_atom(p)) - p * p) < 1e-12
     assert abs(af.phi(af.fixed_point_measure(2000, 40.0)) - 0.5) < 2e-3
+
+
+def test_phi_of_pair_matches_power_oracle():
+    # theta * theta * theta rounds twice where theta ** 3 rounds about once,
+    # so each cube moves by at most ~2 ulp, and the sum of positive terms by
+    # no more plus a few ulp of summation order: 8 eps relative covers both
+    rng = np.random.default_rng(3)
+    measures = [af.fixed_point_measure(n, 40.0) for n in (10, 2000, 16000)]
+    measures += [random_probability_measure(rng, 400) for _ in range(100)]
+    for m in measures:
+        pair = af.leading_pair(m)
+        want = 1.0 / float((pair.theta ** 3 * m.masses).sum())
+        assert af.phi_of_pair(pair) == pytest.approx(
+            want, rel=8 * np.finfo(float).eps, abs=0.0)
 
 
 def test_phi_degenerate_propagates():
