@@ -76,6 +76,7 @@ _lightning = _kind("'auto' (n^-1/2) or a finite number >= 0",
 
 _REQUIRED = object()  # the default of a key that must be given
 _MAX_EVENTS = 10 ** 7  # largest expected event count of one simulate replica
+_MAX_STEPS = 10 ** 6  # largest step count t_max / dt of one solve
 _OUT = ("--out", _text, _REQUIRED, "output directory")
 
 # command -> (help, {config key: (flag, converter, default, help)}); a flag
@@ -85,7 +86,8 @@ _PARAMS = {
         "init": ("--init", _text, "fixedpoint", "initial measure, e.g. dirac:0, "
                  "twoatom:0.5, threeatom:10, fixedpoint:2000,40"),
         "t_max": ("--t-max", _time, 1.0, "final time"),
-        "dt": ("--dt", _positive, 1e-3, "critical step size"),
+        "dt": ("--dt", _positive, 1e-3, "critical step size; a run may take "
+               f"at most {_MAX_STEPS:,} steps, t_max / dt"),
         "checkpoints": ("--checkpoints", _times, None, "comma-separated times"),
         "merge_eps": ("--merge-eps", _budget, 1e-6, "W1 merge budget per unit time"),
         "lambda_drift_budget": ("--drift-budget", _budget, 1e-3,
@@ -110,7 +112,8 @@ _PARAMS = {
         "suite": (None, _text, "all", "metric | spectral | roundtrip | evolution | all")}),
     "gel": ("compute the gelation time of an initial measure", {
         "init": ("--init", _text, "dirac:0", "initial measure"),
-        "tol": ("--tol", _budget, 1e-9, "tolerance on |lambda - 1| at gelation")}),
+        "tol": ("--tol", _budget, ev.GEL_TOL,
+                "tolerance on |lambda - 1| at gelation")}),
     "fixedpoint": ("emit the discretized stationary profile and its spectral data", {
         "n_atoms": ("--atoms", _count, 2000, "number of atoms"),
         "truncation": ("--truncation", _positive, 40.0, "largest age kept"),
@@ -180,6 +183,10 @@ def _init_measure(preset: str) -> ms.ProbabilityAgeMeasure:
 
 def cmd_solve(args) -> int:
     config = _load_config("solve", args)
+    steps = config["t_max"] / config["dt"]
+    if steps > _MAX_STEPS:
+        raise InputError(f"dt: t_max / dt = {steps:.3g} steps, above the cap "
+                         f"of {_MAX_STEPS:,}")
     pi0 = _init_measure(config["init"])
     try:
         traj = ev.solve(pi0, config["t_max"], ev.EvolveOptions(

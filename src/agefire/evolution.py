@@ -48,6 +48,16 @@ from .spectral import (SpectralPair, leading_eigenvalue, leading_pair,
 
 #: |lam - 1| window treated as exactly critical
 CRIT_TOL = 1e-9
+#: largest |lam - 1| of the audit eigen-solve at the gelation time
+GEL_TOL = 1e-9
+#: rounding allowances of the trajectory audits: the W1 speed bound, mean
+#: growth and tail domination, and the stability ratio bound
+SPEED_SLACK = 1e-6
+MEAN_GROWTH_SLACK = 1e-9
+STABILITY_SLACK = 1e-9
+#: a rise of the W1 distance to the stationary profile larger than this
+#: counts as an uptick in :func:`lyapunov_experiment`
+LYAPUNOV_SLACK = 1e-4
 
 
 @dataclass(frozen=True)
@@ -58,8 +68,7 @@ class EvolveOptions:
     checkpoints: Sequence[float] | None = None  # default: 11 evenly spaced
     merge_eps: float = 1e-6          # W1 coalescing budget per unit time
     lambda_drift_budget: float = 1e-3
-    crit_tol: float = CRIT_TOL
-    gel_tol: float = 1e-9
+    crit_tol: float = CRIT_TOL       # widened to start from an integrator state
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,8 +224,7 @@ def step(state: EvolutionState, dt: float, *, merge_eps: float = 1e-6,
     return new_state
 
 
-def gelation_time(pi0: AgeMeasure, tol: float = 1e-9,
-                  crit_tol: float = CRIT_TOL) -> float:
+def gelation_time(pi0: AgeMeasure, tol: float = GEL_TOL) -> float:
     """First time t with lam(translate(pi0, t)) = 1, in closed form.
 
     Translating every age by t adds t to every x_i ^ x_j, so the symmetrized
@@ -232,11 +240,11 @@ def gelation_time(pi0: AgeMeasure, tol: float = 1e-9,
     One forward pass over the atoms carries g and its slope as affine
     functions of sigma, and the vanishing final slope fixes sigma.
 
-    Returns 0 for critical initial data (|lam - 1| <= crit_tol) and rejects
+    Returns 0 for critical initial data (|lam - 1| <= CRIT_TOL) and rejects
     supercritical data.  ``tol`` audits the result: a cold eigen-solve of the
     translate must give |lam - 1| <= tol, else AccuracyError.
     """
-    return _gelation(pi0, tol, crit_tol)[0]
+    return _gelation(pi0, tol, CRIT_TOL)[0]
 
 
 def _gelation(pi0: AgeMeasure, tol: float, crit_tol: float):
@@ -284,20 +292,26 @@ def solve(pi0: ProbabilityAgeMeasure, t_max: float,
     switch row.
     Supercritical data are rejected; critical data switch at t = 0, and the
     degenerate start (all mass at age 0) is subcritical with t_gel = 1.
+    A step dt below half an ulp of t_max, which would stop the clock, is an
+    InputError; no cap bounds the number of steps, t_max / dt
+    (``agefire solve`` applies one).
     """
     if not (math.isfinite(t_max) and t_max >= 0):
         raise InputError("t_max must be finite and >= 0")
     if not (math.isfinite(opts.dt) and opts.dt > 0):
         raise InputError("dt must be finite and > 0")
+    if t_max + opts.dt == t_max:
+        raise InputError(f"dt = {opts.dt:g} is too small to advance time "
+                         f"at t_max = {t_max:g}")
     _check_budgets(merge_eps=opts.merge_eps,
                    lambda_drift_budget=opts.lambda_drift_budget,
-                   gel_tol=opts.gel_tol, crit_tol=opts.crit_tol)
+                   crit_tol=opts.crit_tol)
     pi0 = pi0.as_probability()
     cps_src = opts.checkpoints if opts.checkpoints is not None \
         else even_checkpoints(t_max, 10)
     cps = checkpoint_times([0.0, *cps_src, t_max], 0.0, t_max)
 
-    t_gel, pair0, pair = _gelation(pi0, opts.gel_tol, opts.crit_tol)
+    t_gel, pair0, pair = _gelation(pi0, GEL_TOL, opts.crit_tol)
     states: list[EvolutionState] = []
     for c in cps.values():
         if c < t_gel - 1e-12:
@@ -345,15 +359,16 @@ def _report(checks: list[IntervalCheck]) -> AuditReport:
     return AuditReport(tuple(checks), all(c.passed for c in checks), worst)
 
 
-def check_speed_bound(traj: Trajectory, slack: float = 1e-6) -> AuditReport:
+def check_speed_bound(traj: Trajectory) -> AuditReport:
     """W1 displacement between checkpoints against the transport-plus-burn
-    speed bound |v - u| + integral of phi * (age-weighted theta mass)."""
+    speed bound |v - u| + integral of phi * (age-weighted theta mass), plus
+    ``SPEED_SLACK``."""
     if len(traj.states) < 2:
         raise InputError("need at least two checkpoints")
     checks = []
     for a, b in zip(traj.states[:-1], traj.states[1:]):
         moved = w1(a.pi, b.pi)
-        bound = (b.t - a.t) + (b.speed_budget - a.speed_budget) + slack
+        bound = (b.t - a.t) + (b.speed_budget - a.speed_budget) + SPEED_SLACK
         checks.append(IntervalCheck(a.t, b.t, moved, bound, moved <= bound))
     return _report(checks)
 
@@ -364,9 +379,10 @@ def _tail_masses(pi: AgeMeasure, xs: np.ndarray) -> np.ndarray:
     return tails[np.searchsorted(pi.locations, xs, side="left")]
 
 
-def check_mean_growth(traj: Trajectory, slack: float = 1e-9) -> AuditReport:
+def check_mean_growth(traj: Trajectory) -> AuditReport:
     """Mean-age growth (mean_t <= t + mean_0) and tail domination
-    (pi_t[x + t, inf) <= pi_0[x, inf)) on a grid of ages x.
+    (pi_t[x + t, inf) <= pi_0[x, inf)) on a grid of ages x, each within
+    ``MEAN_GROWTH_SLACK``.
 
     The grid uses midpoints between the initial atoms so that exactly
     transported atoms sit half a gap away from every grid point.
@@ -381,11 +397,13 @@ def check_mean_growth(traj: Trajectory, slack: float = 1e-9) -> AuditReport:
     checks = []
     for s in traj.states:
         dt = s.t - t0
-        mean_ok = s.pi.first_moment() <= dt + mean0 + slack
-        checks.append(IntervalCheck(t0, s.t, s.pi.first_moment(),
-                                    dt + mean0 + slack, mean_ok))
+        bound = dt + mean0 + MEAN_GROWTH_SLACK
+        mean_ok = s.pi.first_moment() <= bound
+        checks.append(IntervalCheck(t0, s.t, s.pi.first_moment(), bound,
+                                    mean_ok))
         gap = float(np.max(_tail_masses(s.pi, grid + dt) - tails_0))
-        checks.append(IntervalCheck(t0, s.t, gap, slack, gap <= slack))
+        checks.append(IntervalCheck(t0, s.t, gap, MEAN_GROWTH_SLACK,
+                                    gap <= MEAN_GROWTH_SLACK))
     return _report(checks)
 
 
@@ -424,8 +442,9 @@ class StabilityResult:
     initial_gap: float
     c1: float                # smallest rate with ratio <= exp(c1 * t) throughout
 
-    def bound_holds(self, slack: float = 1e-9) -> bool:
-        return bool(np.all(self.ratios <= np.exp(self.c1 * self.times) + slack))
+    def bound_holds(self) -> bool:
+        return bool(np.all(self.ratios <= np.exp(self.c1 * self.times)
+                           + STABILITY_SLACK))
 
 
 def stability_experiment(pi0: ProbabilityAgeMeasure,
@@ -461,29 +480,27 @@ def stability_experiment(pi0: ProbabilityAgeMeasure,
 class LyapunovResult:
     times: np.ndarray
     distances: np.ndarray    # w1(pi_t, stationary reference)
-    increases: int           # count of upticks beyond the slack
+    increases: int           # count of upticks beyond LYAPUNOV_SLACK
     max_increase: float
-    slack: float
 
 
 def lyapunov_experiment(pi0: ProbabilityAgeMeasure, t_max: float,
                         opts: EvolveOptions = EvolveOptions(),
-                        reference: AgeMeasure | None = None,
-                        slack: float = 1e-4) -> LyapunovResult:
+                        reference: AgeMeasure | None = None) -> LyapunovResult:
     """Track the W1 distance to the stationary profile along a trajectory.
 
     Whether this distance is nonincreasing for every critical start is an
-    open question; upticks beyond the slack are therefore counted and
-    reported, never treated as failures.
+    open question; upticks beyond ``LYAPUNOV_SLACK`` are therefore counted
+    and reported, never treated as failures.
     """
     ref = reference if reference is not None else fixed_point_measure()
     traj = solve(pi0, t_max, opts)
     times = traj.times
     dists = np.array([w1(s.pi, ref) for s in traj.states])
     jumps = np.diff(dists)
-    increases = int(np.sum(jumps > slack))
+    increases = int(np.sum(jumps > LYAPUNOV_SLACK))
     max_inc = float(np.max(jumps)) if jumps.size else 0.0
-    return LyapunovResult(times, dists, increases, max_inc, slack)
+    return LyapunovResult(times, dists, increases, max_inc)
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,9 @@ MASS_TOL = 1e-12
 #: measures whose total masses differ by more than this have infinite W1
 W1_MASS_TOL = 1e-9
 
+#: largest truncation age of :func:`fixed_point_measure`
+MAX_TRUNCATION = 64.0
+
 
 @dataclass(frozen=True, eq=False)
 class AgeMeasure:
@@ -140,8 +143,8 @@ class AgeMeasure:
             raise InputError("tilt weights must be >= 0")
         return AgeMeasure(self.locations, self.masses * w)
 
-    def as_probability(self, tol: float = MASS_TOL) -> "ProbabilityAgeMeasure":
-        return ProbabilityAgeMeasure(self.locations, self.masses, tol_mass=tol)
+    def as_probability(self) -> "ProbabilityAgeMeasure":
+        return ProbabilityAgeMeasure(self.locations, self.masses)
 
     # -- IO ------------------------------------------------------------------
 
@@ -167,12 +170,12 @@ class AgeMeasure:
 class ProbabilityAgeMeasure(AgeMeasure):
     """AgeMeasure whose total mass is 1 within MASS_TOL."""
 
-    def __init__(self, locations, masses, tol_mass: float = MASS_TOL):
+    def __init__(self, locations, masses):
         super().__init__(locations, masses)
         defect = abs(self.total_mass() - 1.0)
-        if defect > tol_mass:
+        if defect > MASS_TOL:
             raise InputError(
-                f"not a probability measure: |mass - 1| = {defect:.3e} > {tol_mass:.1e}")
+                f"not a probability measure: |mass - 1| = {defect:.3e} > {MASS_TOL:.1e}")
 
 
 def from_atoms(pairs: Iterable[tuple[float, float]]) -> AgeMeasure:
@@ -231,7 +234,9 @@ def fixed_point_measure(n_atoms: int = 2000,
     The stationary density is (1/2) sech^2(x/2) (CDF tanh(x/2)).  The mass
     on [0, truncation] is split into ``n_atoms`` equal-probability cells,
     one atom per cell at the cell's conditional mean; any remaining tail
-    mass becomes a single atom at the tail's conditional mean.  Atom
+    mass becomes a single atom at the tail's conditional mean.  A
+    truncation above ``MAX_TRUNCATION`` is read as that value: tanh(T/2)
+    rounds to 1 past T ~ 38, and the mass past 64 is below 1e-27.  Atom
     locations are then rescaled by the reciprocal of the leading eigenvalue
     so the discretized measure is age-critical to solver accuracy (the raw
     quantile discretization sits ~1e-3 off criticality at 2000 atoms, which
@@ -239,8 +244,9 @@ def fixed_point_measure(n_atoms: int = 2000,
     """
     if n_atoms < 1:
         raise InputError("fixed_point requires n_atoms >= 1")
+    truncation = min(truncation, MAX_TRUNCATION)  # NaN stays NaN
     qmax = math.tanh(truncation / 2.0)
-    if qmax < 1.0 - 1e-6:
+    if not qmax >= 1.0 - 1e-6:
         raise InputError(
             f"truncation {truncation} keeps only {qmax:.8f} of the mass; "
             "need >= 1 - 1e-6")
@@ -278,30 +284,28 @@ def preset_name(name: str) -> str:
     return name.lower().replace("-", "").replace("_", "")
 
 
-def from_named(preset: str, *params: float) -> ProbabilityAgeMeasure:
-    """Build a preset by name: dirac(a), two_atom(p), three_atom(n),
-    fixed_point(n_atoms, truncation).
-
-    Also accepts compact preset strings like ``"twoatom:0.5"`` or
-    ``"fixedpoint:2000,40"`` (used by the CLI).  Names are read through
-    :func:`preset_name`.
+def from_named(preset: str) -> ProbabilityAgeMeasure:
+    """Build a preset from a string ``"name"`` or ``"name:a,b"``: dirac:a,
+    twoatom:p, threeatom:n, fixedpoint:n_atoms,truncation, as in
+    ``"twoatom:0.5"`` or ``"fixedpoint:2000,40"``.  Names are read through
+    :func:`preset_name`; the atom count of ``fixedpoint`` must be an
+    integer.
     """
-    name = preset
-    if ":" in preset and not params:
-        name, _, arg = preset.partition(":")
-        try:
-            params = tuple(float(v) for v in arg.split(",") if v != "")
-        except ValueError:
-            raise InputError(f"bad parameters for preset {name!r}: {arg!r} "
-                             "is not a comma-separated list of numbers") from None
+    name, _, arg = preset.partition(":")
+    try:
+        params = tuple(float(v) for v in arg.split(",") if v != "")
+    except ValueError:
+        raise InputError(f"bad parameters for preset {name!r}: {arg!r} "
+                         "is not a comma-separated list of numbers") from None
     builder = _PRESETS.get(preset_name(name))
     if builder is None:
         raise InputError(f"unknown preset {preset!r}; "
                          f"choose from {sorted(_PRESETS)}")
     if builder is fixed_point_measure and params:
-        if not math.isfinite(params[0]):
-            raise InputError("fixed_point requires a finite atom count")
-        params = (int(params[0]),) + tuple(params[1:])
+        if not params[0].is_integer():
+            raise InputError(f"fixed_point requires an integer atom count, "
+                             f"got {params[0]!r}")
+        params = (int(params[0]),) + params[1:]
     try:
         return builder(*params)
     except TypeError as exc:

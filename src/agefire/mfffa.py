@@ -288,11 +288,10 @@ class SimRecord:
 
 
 def run(graph: FireGraph, lambda_n: float, t_max: float,
-        checkpoints: Sequence[float], seed=None) -> list[SimRecord]:
+        checkpoints: Sequence[float]) -> list[SimRecord]:
     """Drive the fire dynamics to t_max, emitting a record per checkpoint.
 
-    Mutates ``graph`` in place.  With ``seed`` given, the generator is
-    reseeded so that (seed, config) determines the run bit for bit.  The
+    Mutates ``graph`` in place and draws from ``graph.rng``.  The
     checkpoints follow :func:`~agefire.evolution.checkpoint_times` from the
     current time ``graph.t`` on.  Rates that would stop the clock are an
     InputError, but no cap bounds the expected number of events,
@@ -326,8 +325,6 @@ def run(graph: FireGraph, lambda_n: float, t_max: float,
                          f"{n} * {lambda_n:g} is too high to advance time "
                          f"at t_max = {t_max:g}")
     cps = list(checkpoint_times(checkpoints, graph.t, t_max).values())
-    if seed is not None:
-        graph.rng = np.random.default_rng(seed)
     rng = graph.rng
     # a single vertex without lightning has no events: the first event time
     # is infinite, so every checkpoint is emitted and nothing is drawn

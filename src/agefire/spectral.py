@@ -40,9 +40,9 @@ import numpy as np
 from .errors import DegenerateOperatorError, InputError, IterationLimitError
 from .measures import AgeMeasure
 
-#: default threshold on successive Rayleigh-quotient increments
+#: threshold on successive Rayleigh-quotient increments
 EIGEN_TOL = 1e-13
-#: default cap on power-iteration sweeps
+#: cap on power-iteration sweeps, read at each call
 MAX_ITERS = 100_000
 #: the solver also polishes until the symmetric residual is below this
 #: fraction of the eigenvalue (or stops improving), so that the reported
@@ -52,6 +52,8 @@ _RESID_FRAC = 1e-13
 #: from 32 sweeps' worth of dense squarings (:func:`_squared_start`); near
 #: 100 atoms the O(N^3) squarings cost as much as the sweeps they save
 SQUARED_START_ATOMS = 64
+#: rounding allowance of :func:`theta_to_pi` on a rising kink slope
+CONCAVITY_TOL = 1e-9
 
 
 def min_kernel_apply(locations: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -124,8 +126,7 @@ def _positive_part(measure: AgeMeasure):
     return locs, mass, False
 
 
-def leading_pair(measure: AgeMeasure, *, eigen_tol: float = EIGEN_TOL,
-                 max_iters: int = MAX_ITERS,
+def leading_pair(measure: AgeMeasure, *,
                  start: np.ndarray | None = None) -> SpectralPair:
     """Compute (lam, theta) with theta >= 0 and integral(theta dpi) = 1.
 
@@ -133,9 +134,12 @@ def leading_pair(measure: AgeMeasure, *, eigen_tol: float = EIGEN_TOL,
     at the atoms (warm start for integrator steps); the default is the
     all-ones vector, advanced 32 sweeps by :func:`_squared_start` when the
     positive part has at most ``SQUARED_START_ATOMS`` atoms.  ``iterations``
-    counts the sweeps of the power loop only.  Raises
-    DegenerateOperatorError when the measure is supported on {0} and
-    IterationLimitError (carrying the last residual) if the sweep cap is hit.
+    counts the sweeps of the power loop only.  The loop stops when the
+    Rayleigh quotient moves by less than ``EIGEN_TOL`` (relative) and the
+    residual is small; it raises IterationLimitError (carrying the last
+    residual) after ``MAX_ITERS`` sweeps.  A measure supported on {0} is a
+    DegenerateOperatorError, and one whose total mass overflows an
+    InputError.
     """
     xp, wp, has_zero_atom = _positive_part(measure)
     if xp.size == 0:
@@ -147,8 +151,12 @@ def leading_pair(measure: AgeMeasure, *, eigen_tol: float = EIGEN_TOL,
     # underflow nor overflow.  lam is homogeneous of degree 1 in both, and
     # d = sqrt(w) scales by the exact half power, so ordinary measures give
     # the same bits as unscaled ones; ``scale`` undoes both factors.
+    with np.errstate(over="ignore"):
+        total = float(wp.sum())
+    if not math.isfinite(total):
+        raise InputError("the total mass of the measure is not finite")
     age_scale = math.ldexp(1.0, math.frexp(xp[-1])[1] - 1)
-    mass_exp = 2 * (math.frexp(float(wp.sum()))[1] // 2)
+    mass_exp = 2 * (math.frexp(total)[1] // 2)
     scale = math.ldexp(age_scale, mass_exp)
     xs = xp / age_scale
     ws = np.ldexp(wp, -mass_exp) if mass_exp else wp
@@ -185,13 +193,13 @@ def leading_pair(measure: AgeMeasure, *, eigen_tol: float = EIGEN_TOL,
         else:
             stalled += 1  # residual at the rounding floor
         rq_done = (abs(rayleigh - rayleigh_old) * scale
-                   < eigen_tol * max(1.0, abs(rayleigh) * scale))
+                   < EIGEN_TOL * max(1.0, abs(rayleigh) * scale))
         resid_done = resid_sym <= _RESID_FRAC * abs(rayleigh) or stalled > 40
         if rq_done and resid_done:
             break
-        if iters >= max_iters:
+        if iters >= MAX_ITERS:
             raise IterationLimitError(
-                f"power iteration did not converge in {max_iters} sweeps "
+                f"power iteration did not converge in {MAX_ITERS} sweeps "
                 f"(symmetric residual {resid_sym * scale:.3e})",
                 residual=resid_sym * scale)
         rayleigh_old = rayleigh
@@ -266,16 +274,16 @@ def phi(measure: AgeMeasure) -> float:
 # theta <-> measure correspondence
 # ---------------------------------------------------------------------------
 
-def theta_to_pi(lam: float, kinks: Sequence[tuple[float, float]],
-                final_slope: float = 0.0,
-                concavity_tol: float = 1e-9) -> AgeMeasure:
+def theta_to_pi(lam: float, kinks: Sequence[tuple[float, float]]) -> AgeMeasure:
     """Reconstruct the positive part of a measure from (lam, theta).
 
     ``kinks`` lists (x_k, theta(x_k)) for x_k > 0 strictly increasing; the
     function is pinned at theta(0) = 0, interpolates linearly between kinks,
-    and continues with ``final_slope`` afterwards.  Each kink where the slope
-    drops carries an atom of mass lam * (slope_left - slope_right) / theta(x_k).
-    Any mass of the original measure at 0 is not recoverable.
+    and is flat past the last one, as the extension of an eigenfunction is.
+    Each kink where the slope drops carries an atom of mass
+    lam * (slope_left - slope_right) / theta(x_k); a slope that rises by more
+    than ``CONCAVITY_TOL`` (relative to the first) is an InputError.  Any
+    mass of the original measure at 0 is not recoverable.
     """
     if lam <= 0:
         raise InputError("lam must be positive")
@@ -288,10 +296,8 @@ def theta_to_pi(lam: float, kinks: Sequence[tuple[float, float]],
     if (th <= 0).any():
         raise InputError("theta must be strictly positive at kinks > 0")
     slopes = np.diff(np.concatenate(([0.0], th))) / np.diff(np.concatenate(([0.0], x)))
-    slopes = np.concatenate((slopes, [final_slope]))
-    if final_slope < -concavity_tol:
-        raise InputError("final slope must be >= 0 (theta is nondecreasing)")
-    tol = concavity_tol * max(1.0, float(slopes[0]))
+    slopes = np.concatenate((slopes, [0.0]))
+    tol = CONCAVITY_TOL * max(1.0, float(slopes[0]))
     if (np.diff(slopes) > tol).any():
         raise InputError("kinks do not describe a concave function")
     mass = lam * np.maximum(slopes[:-1] - slopes[1:], 0.0) / th

@@ -182,7 +182,7 @@ def suite_evolution() -> list[CheckResult]:
     growth = ev.check_mean_growth(traj)
     out.append(CheckResult("mean growth and tail domination",
                            growth.passed, growth.worst_slack))
-    t_gel = ev.gelation_time(ms.dirac(0.0), tol=1e-9)
+    t_gel = ev.gelation_time(ms.dirac(0.0))
     out.append(CheckResult("monodisperse gelation time = 1",
                            abs(t_gel - 1.0) <= 1e-6, 1e-6 - abs(t_gel - 1.0)))
     return out

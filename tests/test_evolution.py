@@ -1,6 +1,7 @@
 """Integrator, gelation, audits, and the stability/Lyapunov experiments."""
 
 import math
+import time
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -367,17 +368,14 @@ def test_gelation_at_the_rounding_floor_is_an_accuracy_error():
     for eps in (1e-14, 1e-15, 3e-16):
         pi0 = _scaled_to(_FP, 1.0 - eps)
         try:
-            t_gel = af.gelation_time(pi0, crit_tol=0.0)
+            t_gel = af.solve(pi0, 0.0, EvolveOptions(crit_tol=0.0)).t_gel
         except (af.AccuracyError, af.SupercriticalError):
             continue
         assert t_gel >= 0.0
         assert abs(af.leading_eigenvalue(pi0.translate(t_gel)) - 1.0) <= 1e-9
 
 
-@pytest.mark.parametrize("tols", [
-    {"tol": math.nan}, {"tol": -1e-9},
-    {"crit_tol": math.nan}, {"crit_tol": -1e-9},
-])
+@pytest.mark.parametrize("tols", [{"tol": math.nan}, {"tol": -1e-9}])
 def test_gelation_rejects_bad_tolerances(tols):
     with pytest.raises(af.InputError):
         af.gelation_time(af.dirac(0.0), **tols)
@@ -438,28 +436,26 @@ def test_solve_subcritical_composite_start():
     assert traj.switch_lambda_jump <= 1e-9
 
 
-@pytest.mark.parametrize("checkpoints, gel_tol, rows", [
-    # gel_tol bounds |lam - 1|, not a distance in time: a checkpoint 0.01
-    # before the switch does not hide it
-    ([0.0, 0.99, 1.5], 1e-2, [(0.0, "transport"), (0.99, "transport"),
-                              (1.0, "critical"), (1.5, "critical")]),
+@pytest.mark.parametrize("checkpoints, rows", [
+    # a checkpoint 0.01 before the switch does not hide it
+    ([0.0, 0.99, 1.5], [(0.0, "transport"), (0.99, "transport"),
+                        (1.0, "critical"), (1.5, "critical")]),
     # a checkpoint writing the switch's snapshot name takes its place
-    ([0.0, 1.0 + 1e-7, 1.5], 1e-9, [(0.0, "transport"),
-                                    (1.0 + 1e-7, "critical"),
-                                    (1.5, "critical")]),
+    ([0.0, 1.0 + 1e-7, 1.5], [(0.0, "transport"), (1.0 + 1e-7, "critical"),
+                              (1.5, "critical")]),
     # a checkpoint within 1e-12 of the switch is the switch row
-    ([0.0, 1.0 - 1e-13, 1.5], 1e-9, [(0.0, "transport"), (1.0, "critical"),
-                                     (1.5, "critical")]),
+    ([0.0, 1.0 - 1e-13, 1.5], [(0.0, "transport"), (1.0, "critical"),
+                               (1.5, "critical")]),
     # the name comes from the .12g text 1.0000005, so this checkpoint
     # writes snapshot_t1.000001.csv and leaves the switch's name free
-    ([0.0, 1.0000004999999998, 1.5], 1e-9, [(0.0, "transport"),
-                                            (1.0, "critical"),
-                                            (1.0000004999999998, "critical"),
-                                            (1.5, "critical")]),
-], ids=["loose_gel_tol", "same_name", "within_1e-12", "name_from_12g_text"])
-def test_solve_records_the_switch_by_snapshot_name(checkpoints, gel_tol, rows):
+    ([0.0, 1.0000004999999998, 1.5], [(0.0, "transport"), (1.0, "critical"),
+                                      (1.0000004999999998, "critical"),
+                                      (1.5, "critical")]),
+], ids=["checkpoint_before_switch", "same_name", "within_1e-12",
+        "name_from_12g_text"])
+def test_solve_records_the_switch_by_snapshot_name(checkpoints, rows):
     traj = af.solve(af.dirac(0.0), 1.5, EvolveOptions(
-        dt=1e-3, checkpoints=checkpoints, gel_tol=gel_tol))
+        dt=1e-3, checkpoints=checkpoints))
     assert traj.t_gel == 1.0
     assert [(s.t, s.mode) for s in traj.states] == rows
     assert traj.states[-2].lambda_drift <= 1e-6
@@ -518,17 +514,21 @@ def test_solve_checkpoint_validation():
     (0.1, {"lambda_drift_budget": -1e-3}),
     (0.1, {"checkpoints": [0.05, math.nan]}),
     (0.1, {"checkpoints": [0.0, math.inf]}),
-    (0.1, {"gel_tol": math.nan}), (0.1, {"gel_tol": -1e-9}),
+    # a step below half an ulp of t_max would never move the clock
+    (0.1, {"dt": 1e-300}), (0.1, {"dt": 1e-18}),
     (0.1, {"crit_tol": math.nan}), (0.1, {"crit_tol": -1e-9}),
+    (1e300, {"dt": 1e-3}),
 ])
 def test_solve_rejects_non_finite_time_and_step(t_max, opts):
-    # a float is the step dt; a dict sets another option, which the
-    # message names
+    # a float is the step dt; a dict sets an option, which the message
+    # names.  Each is rejected before any work
     key = next(iter(opts)) if isinstance(opts, dict) else None
     opts = EvolveOptions(**opts) if isinstance(opts, dict) \
         else EvolveOptions(dt=opts)
+    began = time.perf_counter()
     with pytest.raises(af.InputError, match=key):
         af.solve(af.two_atom(0.5), t_max, opts)
+    assert time.perf_counter() - began < 1.0
 
 
 def test_solve_fixed_point_stationarity_small():

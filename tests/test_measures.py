@@ -115,16 +115,12 @@ def _assert_same_values(got, want):
 def test_values_survive_pickling_read_only():
     # values cross a process boundary as pickles and stay safe to share
     pi = af.fixed_point_measure(10, 40.0)
-    loose = af.AgeMeasure([1.0, 2.0], [0.5, 0.5 + 5e-10]).as_probability(tol=1e-9)
-    with pytest.raises(af.InputError):
-        af.ProbabilityAgeMeasure(loose.locations, loose.masses)
     state = af.solve(pi, 0.01, af.EvolveOptions(dt=5e-3)).states[-1]
     stepped = af.step(af.step(state, 5e-3), 5e-3)  # holds a history
     assert len(stepped.history) == 2
-    record = af.run(af.sample_irg(pi.locations, seed=1), 0.5, 0.5, [0.5],
-                    seed=2)[-1]
+    record = af.run(af.sample_irg(pi.locations, seed=1), 0.5, 0.5, [0.5])[-1]
     values = [af.AgeMeasure([0.0, 1.5], [0.25, 2.0]), af.AgeMeasure([], []),
-              pi, loose, af.leading_pair(pi), state, stepped, record]
+              pi, af.leading_pair(pi), state, stepped, record]
     for value in values:
         for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
             _assert_same_values(pickle.loads(pickle.dumps(value, protocol)), value)
@@ -246,6 +242,25 @@ def test_from_named_spec_strings():
     assert af.from_named("fixedpoint:200,40").n_atoms == 200
     with pytest.raises(af.InputError):
         af.from_named("nosuch:1")
+    for count in ("3.5", "inf", "nan"):
+        with pytest.raises(af.InputError, match="integer atom count"):
+            af.from_named(f"fixedpoint:{count},40")
+
+
+@pytest.mark.filterwarnings("error")
+def test_fixed_point_truncation_is_clamped():
+    # tanh(T / 2) is 1.0 past T ~ 38; past MAX_TRUNCATION = 64 a larger
+    # truncation only loses digits in the last cell's mean
+    capped = af.fixed_point_measure(10, 64.0)
+    for truncation in (1e12, 1e15, 1e300, math.inf):
+        m = af.fixed_point_measure(10, truncation)
+        assert np.array_equal(m.locations, capped.locations)
+        assert np.array_equal(m.masses, capped.masses)
+    assert np.array_equal(af.from_named("fixedpoint:1,1e300").locations,
+                          af.fixed_point_measure(1, 64.0).locations)
+    for truncation in (math.nan, -1.0, 0.0, 10.0):
+        with pytest.raises(af.InputError, match="truncation"):
+            af.fixed_point_measure(10, truncation)
 
 
 # ---------------------------------------------------------------------------

@@ -518,15 +518,6 @@ def test_run_is_deterministic_given_seed():
         assert np.array_equal(ra.age_measure.masses, rb.age_measure.masses)
 
 
-def test_run_reseed_overrides_graph_rng():
-    g1 = af.sample_irg(0.0, n=100, seed=1)
-    g2 = af.sample_irg(0.0, n=100, seed=2)
-    r1 = af.run(g1, 0.1, 1.0, [1.0], seed=77)
-    r2 = af.run(g2, 0.1, 1.0, [1.0], seed=77)
-    assert r1[0].burned_vertices == r2[0].burned_vertices
-    assert r1[0].cluster_hist == r2[0].cluster_hist
-
-
 def test_run_input_validation():
     g = af.sample_irg(0.0, n=10, seed=0)
     with pytest.raises(af.InputError):
@@ -592,7 +583,7 @@ def test_run_collapses_duplicate_checkpoints_and_rejects_name_collisions():
     def rows(checkpoints):
         g = af.sample_irg(0.0, n=20, seed=0)
         return [(r.t, r.burned_vertices, r.phi_hat_window)
-                for r in af.run(g, 0.5, 1.0, checkpoints, seed=1)]
+                for r in af.run(g, 0.5, 1.0, checkpoints)]
 
     # a repeated checkpoint is one record, not a second one with a zero window
     assert rows([1.0, 0.5, 1.0, 0.5]) == rows([0.5, 1.0])

@@ -91,13 +91,26 @@ def test_tiny_total_mass_is_solved_at_once(squared, monkeypatch):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_residual_stops_at_once():
-    # the total mass overflows, so the first sweep is already NaN
-    huge = af.AgeMeasure([1.0, 2.0, 3.0], [1e308, 1e308, 1e308])
+    # the norm of this start overflows, so the second sweep is already NaN
+    m = af.AgeMeasure([1.0, 2.0, 3.0], [0.25, 0.5, 0.25])
     began = time.perf_counter()
     with pytest.raises(af.IterationLimitError) as err:
-        af.leading_pair(huge, start=np.ones(3))
+        af.leading_pair(m, start=np.full(3, 1e308))
     assert time.perf_counter() - began < 0.1
     assert math.isnan(err.value.residual)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("start", [None, np.ones(3)], ids=["cold", "warm"])
+def test_non_finite_total_mass_is_an_input_error(start, monkeypatch):
+    # every mass is finite, but their sum overflows
+    sweeps = []
+    monkeypatch.setattr(af.spectral, "min_kernel_apply",
+                        lambda x, u: sweeps.append(1) or min_kernel_apply(x, u))
+    huge = af.AgeMeasure([1.0, 2.0, 3.0], [1e308, 1e308, 1e308])
+    with pytest.raises(af.InputError, match="total mass"):
+        af.leading_pair(huge, start=start)
+    assert sweeps == []
 
 
 def test_two_atom_pair_closed_form():
@@ -137,10 +150,11 @@ def test_bad_start_rejected_before_the_first_sweep(monkeypatch):
     assert af.leading_pair(m, start=np.ones(m.n_atoms)).iterations == len(sweeps) - 1
 
 
-def test_iteration_limit_error_reports_residual():
+def test_iteration_limit_error_reports_residual(monkeypatch):
     m = af.three_atom(50)  # slow eigen gap, cannot converge in 2 sweeps
-    with pytest.raises(af.IterationLimitError) as err:
-        af.leading_pair(m, max_iters=2)
+    monkeypatch.setattr(af.spectral, "MAX_ITERS", 2)
+    with pytest.raises(af.IterationLimitError, match="in 2 sweeps") as err:
+        af.leading_pair(m)
     assert err.value.residual > 0.0
     again = pickle.loads(pickle.dumps(err.value))
     assert (str(again), again.residual) == (str(err.value), err.value.residual)
@@ -178,8 +192,7 @@ def _two_scan_min_kernel_apply(locations, u):
     return cum_xu + locations * (cum_u[-1] - cum_u)
 
 
-def _oracle_leading_pair(measure, *, eigen_tol=EIGEN_TOL, max_iters=MAX_ITERS,
-                         start=None, sym_start=None):
+def _oracle_leading_pair(measure, *, start=None, sym_start=None):
     """Oracle: the power loop with two-scan products and np.linalg.norm.
 
     ``sym_start`` is a start in symmetrized coordinates (theta * sqrt(w)),
@@ -211,9 +224,9 @@ def _oracle_leading_pair(measure, *, eigen_tol=EIGEN_TOL, max_iters=MAX_ITERS,
             stalled = 0
         else:
             stalled += 1
-        rq_done = abs(rayleigh - rayleigh_old) < eigen_tol * max(1.0, abs(rayleigh))
+        rq_done = abs(rayleigh - rayleigh_old) < EIGEN_TOL * max(1.0, abs(rayleigh))
         resid_done = resid_sym <= _RESID_FRAC * abs(rayleigh) or stalled > 40
-        if (rq_done and resid_done) or iters >= max_iters:
+        if (rq_done and resid_done) or iters >= MAX_ITERS:
             break
         rayleigh_old = rayleigh
     lam = rayleigh
@@ -424,16 +437,9 @@ def test_theta_to_pi_single_kink():
     assert abs(rebuilt.masses[0] - 0.5) < 1e-15
 
 
-def test_theta_to_pi_linear_theta_gives_empty_measure():
-    out = af.theta_to_pi(1.0, [(1.0, 0.5), (2.0, 1.0)], final_slope=0.5)
-    assert out.n_atoms == 0
-
-
 def test_theta_to_pi_rejects_nonconcave():
     with pytest.raises(af.InputError):
         af.theta_to_pi(1.0, [(1.0, 0.5), (2.0, 2.0)])  # slope rises 0.5 -> 1.5
-    with pytest.raises(af.InputError):
-        af.theta_to_pi(1.0, [(1.0, 1.0)], final_slope=-0.5)
     with pytest.raises(af.InputError):
         af.theta_to_pi(-1.0, [(1.0, 1.0)])
 

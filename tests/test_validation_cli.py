@@ -143,13 +143,17 @@ def test_cli_unknown_config_key_rejected(tmp_path):
     assert code == 2
 
 
+@pytest.mark.filterwarnings("error")
 def test_cli_gel(capsys):
-    # t_gel of dirac(a) is 1 - a; a tiny age once broke the eigen-solve
-    for init in ("dirac:0", "dirac:1e-200"):
+    # t_gel of dirac(a) is 1 - a; a tiny age once broke the eigen-solve.
+    # The fixed point is critical, and a truncation above 64 reads as 64
+    for init, t_gel in (("dirac:0", 1.0), ("dirac:1e-200", 1.0),
+                        ("fixedpoint:10,inf", 0.0), ("fixedpoint:1,1e300", 0.0),
+                        ("fixedpoint:2000,1e15", 0.0)):
         assert main(["gel", "--init", init]) == 0
         printed = capsys.readouterr().out
         assert printed.startswith("t_gel = ")
-        assert abs(float(printed.split("=")[1]) - 1.0) <= 1e-6
+        assert abs(float(printed.split("=")[1]) - t_gel) <= 1e-6
 
 
 def test_cli_fixedpoint(tmp_path, capsys):
@@ -336,6 +340,12 @@ def test_cli_simulate_rejects_bad_input(tmp_path, capsys, flags, config):
       "0.005,0.0050000004"], None, "checkpoints"),
     (["solve", "--init", "dirac:0", "--t-max", "1.0000004", "--checkpoints",
       "0.5,1"], None, "checkpoints"),
+    # more than 1,000,000 steps, t_max / dt; the first two never move time
+    (["solve", "--init", "fixedpoint:200,40", "--dt", "1e-300"], None, "dt"),
+    (["solve", "--init", "dirac:0", "--t-max", "1e300"], None, "dt"),
+    (["solve", "--init", "dirac:0", "--t-max", "1.000001", "--dt", "1e-6"],
+     None, "1,000,000"),
+    (["gel", "--init", "fixedpoint:3.5"], None, "integer atom count"),
 ])
 def test_cli_solve_and_gel_reject_bad_input(tmp_path, capsys, argv, config,
                                             key):
