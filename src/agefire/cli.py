@@ -77,6 +77,7 @@ _lightning = _kind("'auto' (n^-1/2) or a finite number >= 0",
 _REQUIRED = object()  # the default of a key that must be given
 _MAX_EVENTS = 10 ** 7  # largest expected event count of one simulate replica
 _MAX_STEPS = 10 ** 6  # largest step count t_max / dt of one solve
+_MAX_VERTICES = 10 ** 7  # largest vertex count n of one simulate replica
 _OUT = ("--out", _text, _REQUIRED, "output directory")
 
 # command -> (help, {config key: (flag, converter, default, help)}); a flag
@@ -95,7 +96,8 @@ _PARAMS = {
         "out": _OUT}),
     "simulate": ("run the stochastic fire graph", {
         "init": ("--init", _text, "dirac:0", "dirac:a or iid:<preset>"),
-        "n": ("--n", _count, 2000, "number of vertices"),
+        "n": ("--n", _count, 2000,
+              f"number of vertices, at most {_MAX_VERTICES:,}"),
         "lightning": ("--lightning", _lightning, "auto",
                       "per-vertex strike rate, or 'auto' (= n^-1/2); a "
                       f"replica may expect at most {_MAX_EVENTS:,} events, "
@@ -115,7 +117,8 @@ _PARAMS = {
         "tol": ("--tol", _budget, ev.GEL_TOL,
                 "tolerance on |lambda - 1| at gelation")}),
     "fixedpoint": ("emit the discretized stationary profile and its spectral data", {
-        "n_atoms": ("--atoms", _count, 2000, "number of atoms"),
+        "n_atoms": ("--atoms", _count, 2000,
+                    f"number of atoms, at most {ms.MAX_ATOMS:,}"),
         "truncation": ("--truncation", _positive, 40.0, "largest age kept"),
         "out": _OUT}),
 }
@@ -211,6 +214,8 @@ def cmd_solve(args) -> int:
 def cmd_simulate(args) -> int:
     config = _load_config("simulate", args)
     n, t_max, init, seeds = (config[k] for k in ("n", "t_max", "init", "seeds"))
+    if n > _MAX_VERTICES:
+        raise InputError(f"n: {n:,} vertices, above the cap of {_MAX_VERTICES:,}")
     lambda_n = n ** -0.5 if config["lightning"] == "auto" else config["lightning"]
     events = t_max * ((n - 1) / 2 + n * lambda_n)
     if events > _MAX_EVENTS:

@@ -46,7 +46,7 @@ from .measures import (AgeMeasure, ProbabilityAgeMeasure, fixed_point_measure,
 from .spectral import (SpectralPair, leading_eigenvalue, leading_pair,
                        phi_of_pair)
 
-#: |lam - 1| window treated as exactly critical
+#: |lam - 1| window treated as exactly critical, read at each call
 CRIT_TOL = 1e-9
 #: largest |lam - 1| of the audit eigen-solve at the gelation time
 GEL_TOL = 1e-9
@@ -62,13 +62,18 @@ LYAPUNOV_SLACK = 1e-4
 
 @dataclass(frozen=True)
 class EvolveOptions:
-    """Knobs of the integrator; defaults match the accuracy contracts."""
+    """Knobs of the integrator; defaults match the accuracy contracts.
+
+    ``dt`` is the critical step size; ``checkpoints`` the recorded times
+    (default: 11 evenly spaced over [0, t_max]); ``merge_eps`` the W1
+    coalescing budget per unit time; ``lambda_drift_budget`` the largest
+    |lam - 1| allowed after a critical step.
+    """
 
     dt: float = 1e-3
-    checkpoints: Sequence[float] | None = None  # default: 11 evenly spaced
-    merge_eps: float = 1e-6          # W1 coalescing budget per unit time
+    checkpoints: Sequence[float] | None = None
+    merge_eps: float = 1e-6
     lambda_drift_budget: float = 1e-3
-    crit_tol: float = CRIT_TOL       # widened to start from an integrator state
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,21 +249,21 @@ def gelation_time(pi0: AgeMeasure, tol: float = GEL_TOL) -> float:
     supercritical data.  ``tol`` audits the result: a cold eigen-solve of the
     translate must give |lam - 1| <= tol, else AccuracyError.
     """
-    return _gelation(pi0, tol, CRIT_TOL)[0]
+    return _gelation(pi0, tol)[0]
 
 
-def _gelation(pi0: AgeMeasure, tol: float, crit_tol: float):
+def _gelation(pi0: AgeMeasure, tol: float):
     """:func:`gelation_time` and the pairs it solved: that of pi0 (None for
     delta_0) and that of the critical measure at t_gel (the same for a
     critical pi0, else the audit pair of the translate)."""
-    _check_budgets(tol=tol, crit_tol=crit_tol)
+    _check_budgets(tol=tol)
     # delta_0 has lam = 0 and no eigenpair; any positive atom gives one
     pair0 = leading_pair(pi0) if pi0.locations[-1:].any() else None
     lam0 = pair0.lam if pair0 is not None else 0.0
-    if lam0 > 1.0 + crit_tol:
+    if lam0 > 1.0 + CRIT_TOL:
         raise SupercriticalError(
             f"initial eigenvalue {lam0:.9f} > 1; gelation already happened")
-    if abs(lam0 - 1.0) <= crit_tol:
+    if abs(lam0 - 1.0) <= CRIT_TOL:
         return 0.0, pair0, pair0
     # g = g0 + g1 * sigma and its slope s0 + s1 * sigma at the current atom
     g0 = g1 = s0 = x_prev = 0.0
@@ -304,14 +309,13 @@ def solve(pi0: ProbabilityAgeMeasure, t_max: float,
         raise InputError(f"dt = {opts.dt:g} is too small to advance time "
                          f"at t_max = {t_max:g}")
     _check_budgets(merge_eps=opts.merge_eps,
-                   lambda_drift_budget=opts.lambda_drift_budget,
-                   crit_tol=opts.crit_tol)
+                   lambda_drift_budget=opts.lambda_drift_budget)
     pi0 = pi0.as_probability()
     cps_src = opts.checkpoints if opts.checkpoints is not None \
         else even_checkpoints(t_max, 10)
     cps = checkpoint_times([0.0, *cps_src, t_max], 0.0, t_max)
 
-    t_gel, pair0, pair = _gelation(pi0, GEL_TOL, opts.crit_tol)
+    t_gel, pair0, pair = _gelation(pi0, GEL_TOL)
     states: list[EvolutionState] = []
     for c in cps.values():
         if c < t_gel - 1e-12:
@@ -451,8 +455,9 @@ def stability_experiment(pi0: ProbabilityAgeMeasure,
                          pi0_perturbed: ProbabilityAgeMeasure,
                          t_max: float,
                          opts: EvolveOptions = EvolveOptions()) -> StabilityResult:
-    """Evolve two critical initial measures side by side and track the
-    growth of their W1 gap relative to the initial gap.
+    """Evolve two critical initial measures (|lam - 1| <= ``CRIT_TOL``)
+    side by side and track the growth of their W1 gap relative to the
+    initial gap.
 
     The fitted rate c1 is the largest log-ratio slope over the checkpoints,
     so ratio <= exp(c1 * t) holds along the whole run; c1 is the empirical
@@ -460,7 +465,7 @@ def stability_experiment(pi0: ProbabilityAgeMeasure,
     """
     for m, label in ((pi0, "pi0"), (pi0_perturbed, "pi0_perturbed")):
         lam = leading_eigenvalue(m)
-        if abs(lam - 1.0) > opts.crit_tol:
+        if abs(lam - 1.0) > CRIT_TOL:
             raise InputError(f"{label} must be critical (lam = {lam:.9f})")
     gap0 = w1(pi0, pi0_perturbed)
     if gap0 <= 0.0:

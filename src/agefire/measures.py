@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -36,6 +36,9 @@ W1_MASS_TOL = 1e-9
 
 #: largest truncation age of :func:`fixed_point_measure`
 MAX_TRUNCATION = 64.0
+
+#: largest atom count of :func:`fixed_point_measure`
+MAX_ATOMS = 10 ** 6
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,18 +117,6 @@ class AgeMeasure:
         i = int(np.searchsorted(self.locations, r, side="left"))
         return float((self.locations[i:] * self.masses[i:]).sum())
 
-    def tail_mass(self, r: float) -> float:
-        """Mass of [r, inf)."""
-        i = int(np.searchsorted(self.locations, r, side="left"))
-        return float(self.masses[i:].sum())
-
-    def cdf(self, x):
-        """Right-continuous CDF value(s): mass of [0, x]."""
-        cum = np.concatenate(([0.0], np.cumsum(self.masses)))
-        idx = np.searchsorted(self.locations, x, side="right")
-        out = cum[idx]
-        return float(out) if np.isscalar(x) else out
-
     # -- transformations ---------------------------------------------------
 
     def translate(self, r: float) -> "AgeMeasure":
@@ -133,15 +124,6 @@ class AgeMeasure:
         if r < 0:
             raise InputError("left translation off [0, inf) is unsupported")
         return type(self)(self.locations + r, self.masses)
-
-    def tilt(self, weights) -> "AgeMeasure":
-        """Reweight atom masses by nonnegative factors given per atom."""
-        w = np.asarray(weights, dtype=float)
-        if w.shape != self.masses.shape:
-            raise InputError("tilt weights must align with the atoms")
-        if (w < 0).any():
-            raise InputError("tilt weights must be >= 0")
-        return AgeMeasure(self.locations, self.masses * w)
 
     def as_probability(self) -> "ProbabilityAgeMeasure":
         return ProbabilityAgeMeasure(self.locations, self.masses)
@@ -176,15 +158,6 @@ class ProbabilityAgeMeasure(AgeMeasure):
         if defect > MASS_TOL:
             raise InputError(
                 f"not a probability measure: |mass - 1| = {defect:.3e} > {MASS_TOL:.1e}")
-
-
-def from_atoms(pairs: Iterable[tuple[float, float]]) -> AgeMeasure:
-    """Build a canonical AgeMeasure from (location, mass) pairs."""
-    pairs = list(pairs)
-    if not pairs:
-        return AgeMeasure(np.empty(0), np.empty(0))
-    locs, mass = zip(*pairs)
-    return AgeMeasure(np.asarray(locs, dtype=float), np.asarray(mass, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +207,8 @@ def fixed_point_measure(n_atoms: int = 2000,
     The stationary density is (1/2) sech^2(x/2) (CDF tanh(x/2)).  The mass
     on [0, truncation] is split into ``n_atoms`` equal-probability cells,
     one atom per cell at the cell's conditional mean; any remaining tail
-    mass becomes a single atom at the tail's conditional mean.  A
+    mass becomes a single atom at the tail's conditional mean.  The atom
+    count is at most ``MAX_ATOMS``, checked before anything is built.  A
     truncation above ``MAX_TRUNCATION`` is read as that value: tanh(T/2)
     rounds to 1 past T ~ 38, and the mass past 64 is below 1e-27.  Atom
     locations are then rescaled by the reciprocal of the leading eigenvalue
@@ -242,8 +216,8 @@ def fixed_point_measure(n_atoms: int = 2000,
     quantile discretization sits ~1e-3 off criticality at 2000 atoms, which
     would otherwise shift it into the subcritical branch of the evolution).
     """
-    if n_atoms < 1:
-        raise InputError("fixed_point requires n_atoms >= 1")
+    if not 1 <= n_atoms <= MAX_ATOMS:
+        raise InputError(f"fixed_point requires 1 <= n_atoms <= {MAX_ATOMS:,}")
     truncation = min(truncation, MAX_TRUNCATION)  # NaN stays NaN
     qmax = math.tanh(truncation / 2.0)
     if not qmax >= 1.0 - 1e-6:
@@ -370,7 +344,10 @@ def merge_atoms(measure: AgeMeasure, eps: float) -> AgeMeasure:
 
 
 def mixture(components: Sequence[tuple[float, AgeMeasure]]) -> AgeMeasure:
-    """Weighted sum of measures: sum_i c_i * mu_i with c_i >= 0."""
+    """Weighted sum of measures: sum_i c_i * mu_i with c_i >= 0, over at
+    least one component."""
+    if not components:
+        raise InputError("mixture needs at least one component")
     locs, mass = [], []
     for c, mu in components:
         if c < 0:

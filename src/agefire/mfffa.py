@@ -388,8 +388,10 @@ def tail_phi_values(hist: dict[int, int], m_min: int = 4,
     the largest cluster the finite-size cutoff dominates and the statistic
     blows up.
     """
-    if m_min < 1:
+    if not m_min >= 1:
         raise InputError("m_min must be >= 1")
+    if m_cap is not None and math.isnan(m_cap):
+        raise InputError("m_cap must be a number")
     sizes = np.array(sorted(hist), dtype=float)
     counts = np.array([hist[int(s)] for s in sizes], dtype=float)
     n = float((sizes * counts).sum())
@@ -428,6 +430,8 @@ def burn_rate_estimate(records: Sequence[SimRecord],
     the window ends fall between checkpoints.
     """
     t0, t1 = float(window[0]), float(window[1])
+    if math.isnan(t0) or math.isnan(t1):
+        raise InputError("estimation window ends must be numbers")
     if t1 <= t0:
         raise InputError("empty estimation window")
     if not records:

@@ -131,7 +131,8 @@ def leading_pair(measure: AgeMeasure, *,
     """Compute (lam, theta) with theta >= 0 and integral(theta dpi) = 1.
 
     ``start`` optionally seeds the iteration with approximate theta values
-    at the atoms (warm start for integrator steps); the default is the
+    at the atoms (warm start for integrator steps; only its direction
+    counts, and an all-zero start is read as all ones); the default is the
     all-ones vector, advanced 32 sweeps by :func:`_squared_start` when the
     positive part has at most ``SQUARED_START_ATOMS`` atoms.  ``iterations``
     counts the sweeps of the power loop only.  The loop stops when the
@@ -170,6 +171,11 @@ def leading_pair(measure: AgeMeasure, *,
         if not np.isfinite(s).all():
             raise InputError("start vector must be finite")
         v = np.maximum(s[-xp.size:] if has_zero_atom else s, 0.0) * d
+        top = float(v.max())
+        if top > 1e150:
+            # v @ v could overflow; dividing by a power of two is exact
+            # and leaves v / |v| as it is
+            v = np.ldexp(v, -math.frexp(top)[1])
     norm = math.sqrt(v @ v)
     v = d / math.sqrt(d @ d) if norm == 0.0 else v / norm
 

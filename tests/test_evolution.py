@@ -298,7 +298,7 @@ def test_gelation_supercritical_rejected():
 
 
 def test_gelation_against_grid_scan_oracle():
-    pi0 = af.from_atoms([(0.0, 0.5), (1.0, 0.5)]).as_probability()
+    pi0 = af.AgeMeasure([0.0, 1.0], [0.5, 0.5]).as_probability()
     t_star = af.gelation_time(pi0, tol=1e-12)
 
     def lam_at(t):
@@ -332,7 +332,7 @@ _FP = af.fixed_point_measure(2000, 40.0)
 _GELATION_STARTS = {
     "dirac0": af.dirac(0.0),
     "dirac0.3": af.dirac(0.3),
-    "half_at_zero": af.from_atoms([(0.0, 0.5), (1.0, 0.5)]).as_probability(),
+    "half_at_zero": af.AgeMeasure([0.0, 1.0], [0.5, 0.5]).as_probability(),
     "fp_x0.99": af.ProbabilityAgeMeasure(_FP.locations * 0.99, _FP.masses),
     "fp_x0.5": af.ProbabilityAgeMeasure(_FP.locations * 0.5, _FP.masses),
     "fp_1pct_at_zero": af.mixture(
@@ -362,13 +362,14 @@ def test_gelation_audit_rejects_a_missed_root(monkeypatch):
     assert af.gelation_time(pi0, tol=1e-5) == 0.7
 
 
-def test_gelation_at_the_rounding_floor_is_an_accuracy_error():
-    # with crit_tol = 0, a start within rounding of criticality can give a
+def test_gelation_at_the_rounding_floor_is_an_accuracy_error(monkeypatch):
+    # with CRIT_TOL = 0, a start within rounding of criticality can give a
     # closed form t_gel <= 0; that is reported, not translated to the left
+    monkeypatch.setattr(af.evolution, "CRIT_TOL", 0.0)
     for eps in (1e-14, 1e-15, 3e-16):
         pi0 = _scaled_to(_FP, 1.0 - eps)
         try:
-            t_gel = af.solve(pi0, 0.0, EvolveOptions(crit_tol=0.0)).t_gel
+            t_gel = af.solve(pi0, 0.0).t_gel
         except (af.AccuracyError, af.SupercriticalError):
             continue
         assert t_gel >= 0.0
@@ -421,7 +422,7 @@ def test_solve_rejects_supercritical():
 def test_solve_subcritical_composite_start():
     # half the mass at age 0, half at age 1: transport until the translate
     # becomes critical, then critical stepping
-    pi0 = af.from_atoms([(0.0, 0.5), (1.0, 0.5)]).as_probability()
+    pi0 = af.AgeMeasure([0.0, 1.0], [0.5, 0.5]).as_probability()
     t_gel = af.gelation_time(pi0)
     traj = af.solve(pi0, t_gel + 0.2, EvolveOptions(
         dt=1e-3, checkpoints=[0.0, t_gel / 2, t_gel + 0.2]))
@@ -484,7 +485,7 @@ def _cold_solves(monkeypatch):
     (small_fixed_point(), [0.0, 0.01, 0.02],
      [small_fixed_point().locations.tolist()]),
     # the lam_0 pair of a subcritical start is its t = 0 transport row
-    (af.from_atoms([(0.0, 0.5), (1.0, 0.5)]).as_probability(),
+    (af.AgeMeasure([0.0, 1.0], [0.5, 0.5]).as_probability(),
      [0.0, 0.25, 1.0], [[0.0, 1.0], [0.25, 1.25], [2 / 3, 5 / 3]]),
 ], ids=["dirac0", "critical", "half_at_zero"])
 def test_solve_eigen_solves_each_measure_once(pi0, checkpoints, want,
@@ -516,7 +517,6 @@ def test_solve_checkpoint_validation():
     (0.1, {"checkpoints": [0.0, math.inf]}),
     # a step below half an ulp of t_max would never move the clock
     (0.1, {"dt": 1e-300}), (0.1, {"dt": 1e-18}),
-    (0.1, {"crit_tol": math.nan}), (0.1, {"crit_tol": -1e-9}),
     (1e300, {"dt": 1e-3}),
 ])
 def test_solve_rejects_non_finite_time_and_step(t_max, opts):
@@ -588,7 +588,7 @@ def test_mean_growth_and_tail_domination():
 
 
 def _mean_growth_loop(traj, slack=1e-9):
-    """Reference audit: one tail_mass call per grid point and state."""
+    """Reference audit: one masked sum per grid point and state."""
     pi0, t0 = traj.states[0].pi, traj.states[0].t
     mean0 = pi0.first_moment()
     locs = pi0.locations
@@ -598,8 +598,10 @@ def _mean_growth_loop(traj, slack=1e-9):
         dt = s.t - t0
         checks.append((s.pi.first_moment(),
                        s.pi.first_moment() <= dt + mean0 + slack))
-        tails_t = np.array([s.pi.tail_mass(x + dt) for x in grid])
-        tails_0 = np.array([pi0.tail_mass(x) for x in grid])
+        tails_t = np.array([s.pi.masses[s.pi.locations >= x + dt].sum()
+                            for x in grid])
+        tails_0 = np.array([pi0.masses[pi0.locations >= x].sum()
+                            for x in grid])
         gap = float(np.max(tails_t - tails_0))
         checks.append((gap, gap <= slack))
     return checks
@@ -665,7 +667,7 @@ def test_stability_ratio_bounded_by_fitted_rate():
     assert res.bound_holds()
 
 
-def test_stability_linear_response():
+def test_stability_linear_response(monkeypatch):
     # doubling the perturbation roughly doubles the gap at t = 1; perturb
     # along the flow direction (evolved states stay critical and the W1
     # response there is smooth, unlike re-criticalized mass perturbations)
@@ -675,7 +677,8 @@ def test_stability_linear_response():
     pi0 = base.state_at(0.5).pi
     # integrator states carry O(dt) eigenvalue drift; widen the criticality
     # gate to the drift budget when replaying them as initial data
-    opts = EvolveOptions(dt=1e-3, checkpoints=[0.0, 1.0], crit_tol=1e-3)
+    monkeypatch.setattr(af.evolution, "CRIT_TOL", 1e-3)
+    opts = EvolveOptions(dt=1e-3, checkpoints=[0.0, 1.0])
     r1 = af.stability_experiment(pi0, base.state_at(0.5 + s).pi, 1.0, opts)
     r2 = af.stability_experiment(pi0, base.state_at(0.5 + 2 * s).pi, 1.0, opts)
     gap1 = r1.ratios[-1] * r1.initial_gap

@@ -38,33 +38,33 @@ def lp_w1(a: af.AgeMeasure, b: af.AgeMeasure) -> float:
 # construction and canonical form
 # ---------------------------------------------------------------------------
 
-def test_from_atoms_sorts_and_canonicalizes():
-    m = af.from_atoms([(2.0, 0.5), (0.0, 0.5)])
+def test_constructor_sorts_and_canonicalizes():
+    m = af.AgeMeasure([2.0, 0.0], [0.5, 0.5])
     assert m.locations.tolist() == [0.0, 2.0]
     assert m.masses.tolist() == [0.5, 0.5]
 
 
-def test_from_atoms_merges_duplicates_and_drops_zero_mass():
-    m = af.from_atoms([(1.0, 0.3), (1.0, 0.7), (5.0, 0.0)])
+def test_constructor_merges_duplicates_and_drops_zero_mass():
+    m = af.AgeMeasure([1.0, 1.0, 5.0], [0.3, 0.7, 0.0])
     assert m.locations.tolist() == [1.0]
     assert m.masses.tolist() == [1.0]
 
 
-def test_from_atoms_three_atom_family_values():
-    m = af.from_atoms([(0.0, 0.1 - 1 / 109), (1.0, 0.9), (100.0, 1 / 109)])
+def test_constructor_three_atom_family_values():
+    m = af.AgeMeasure([0.0, 1.0, 100.0], [0.1 - 1 / 109, 0.9, 1 / 109])
     ref = af.three_atom(10)
     np.testing.assert_allclose(m.locations, ref.locations, rtol=0, atol=0)
     np.testing.assert_allclose(m.masses, ref.masses, rtol=1e-15)
     assert abs(m.masses[0] - 0.0908256880733945) < 1e-12
 
 
-def test_from_atoms_rejects_bad_input():
+def test_constructor_rejects_bad_input():
     with pytest.raises(af.InputError):
-        af.from_atoms([(-1.0, 0.5)])
+        af.AgeMeasure([-1.0], [0.5])
     with pytest.raises(af.InputError):
-        af.from_atoms([(1.0, -0.5)])
+        af.AgeMeasure([1.0], [-0.5])
     with pytest.raises(af.InputError):
-        af.from_atoms([(math.nan, 0.5)])
+        af.AgeMeasure([math.nan], [0.5])
 
 
 def test_validation_checks_shape_then_finite_then_sign():
@@ -81,7 +81,7 @@ def test_validation_checks_shape_then_finite_then_sign():
 
 
 def test_empty_measure():
-    for m in (af.from_atoms([]), af.AgeMeasure([2.0, 1.0], [0.0, 0.0])):
+    for m in (af.AgeMeasure([], []), af.AgeMeasure([2.0, 1.0], [0.0, 0.0])):
         assert m.n_atoms == 0 and m.total_mass() == 0.0
         assert m.locations.shape == m.masses.shape == (0,)
         assert not m.locations.flags.writeable
@@ -199,6 +199,10 @@ def test_preset_parameter_validation():
         af.three_atom(1.5)
     with pytest.raises(af.InputError):
         af.fixed_point_measure(100, 10.0)  # keeps only tanh(5) < 1 - 1e-6
+    # an atom count above the cap is refused before any array is built
+    for count in (af.measures.MAX_ATOMS + 1, 10 ** 10, int(1e300)):
+        with pytest.raises(af.InputError, match="1,000,000"):
+            af.fixed_point_measure(count)
 
 
 def sech2_half_density(x: float) -> float:
@@ -289,14 +293,6 @@ def test_tail_first_moment():
         assert all(np.diff(vals) <= 1e-15)
 
 
-def test_cdf_right_continuity():
-    m = af.two_atom(0.5)
-    assert m.cdf(0.0) == 0.5
-    assert m.cdf(1.99) == 0.5
-    assert m.cdf(2.0) == 1.0
-    assert af.dirac(3.0).cdf(3.0 - 1e-12) == 0.0
-
-
 # ---------------------------------------------------------------------------
 # W1
 # ---------------------------------------------------------------------------
@@ -315,8 +311,8 @@ def test_w1_basic_identities():
 
 
 def test_w1_rejects_unequal_masses():
-    a = af.from_atoms([(1.0, 1.0)])
-    b = af.from_atoms([(1.0, 0.5)])
+    a = af.AgeMeasure([1.0], [1.0])
+    b = af.AgeMeasure([1.0], [0.5])
     with pytest.raises(af.InputError):
         af.w1(a, b)
 
@@ -329,6 +325,12 @@ def test_w1_matches_lp_oracle_on_small_measures():
         assert abs(af.w1(a, b) - lp_w1(a, b)) < 1e-9
 
 
+def _cdf(m, x):
+    """Right-continuous CDF values of m at the ages x: the mass of [0, x]."""
+    cum = np.concatenate(([0.0], np.cumsum(m.masses)))
+    return cum[np.searchsorted(m.locations, x, side="right")]
+
+
 def _grid_w1(a, b):
     """Oracle: |F_a - F_b| integrated over the union grid, with one CDF
     search per measure."""
@@ -337,7 +339,7 @@ def _grid_w1(a, b):
     grid = np.union1d(a.locations, b.locations)
     if grid.size < 2:
         return 0.0
-    diff = a.cdf(grid[:-1]) - b.cdf(grid[:-1])
+    diff = _cdf(a, grid[:-1]) - _cdf(b, grid[:-1])
     return float(np.abs(diff) @ np.diff(grid))
 
 
@@ -412,22 +414,14 @@ def test_translate():
         m.translate(-0.1)
 
 
-def test_tilt():
-    m = af.two_atom(0.5)
-    burned = m.tilt([0.0, 2.0])  # theta of this measure, evaluated at the atoms
-    assert burned.locations.tolist() == [2.0]
-    assert burned.masses.tolist() == [1.0]
-    same = m.tilt(np.ones(2))
-    assert np.array_equal(same.locations, m.locations)
-    assert np.array_equal(same.masses, m.masses)
-    with pytest.raises(af.InputError):
-        m.tilt([1.0, -1.0])
-    # tilting by the normalized eigenfunction gives a probability measure
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        mm = random_probability_measure(rng)
-        pair = af.leading_pair(mm)
-        assert abs(mm.tilt(pair.theta).total_mass() - 1.0) < 1e-12
+def test_mixture():
+    m = af.mixture([(0.25, af.dirac(0.0)), (0.75, af.two_atom(0.5))])
+    assert m.locations.tolist() == [0.0, 2.0]
+    assert m.masses.tolist() == [0.625, 0.375]
+    with pytest.raises(af.InputError, match="coefficients"):
+        af.mixture([(-0.5, af.dirac(0.0))])
+    with pytest.raises(af.InputError, match="at least one"):
+        af.mixture([])
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +436,7 @@ def test_merge_atoms_zero_budget_is_identity():
 
 
 def test_merge_atoms_barycenter():
-    m = af.from_atoms([(1.0, 0.5), (1.0 + 1e-9, 0.5)])
+    m = af.AgeMeasure([1.0, 1.0 + 1e-9], [0.5, 0.5])
     out = af.merge_atoms(m, 1e-6)
     assert out.n_atoms == 1
     assert abs(out.locations[0] - (1.0 + 5e-10)) < 1e-16
@@ -466,7 +460,7 @@ def test_merge_atoms_preserves_mass_and_mean_and_budget():
 
 
 def test_merge_atoms_respects_tight_budget():
-    m = af.from_atoms([(0.0, 0.5), (1.0, 0.25), (1.1, 0.25)])
+    m = af.AgeMeasure([0.0, 1.0, 1.1], [0.5, 0.25, 0.25])
     # merging the close pair costs 2*0.25*0.25*0.1/0.5 = 0.025
     out = af.merge_atoms(m, 0.03)
     assert out.n_atoms == 2

@@ -629,6 +629,9 @@ def test_tail_phi_trivial_histograms():
     assert vals.size == 1
     assert abs(vals[0] - math.pi / 2.0) < 1e-12  # whole mass counted at m = 1
     assert af.tail_phi_spread({1: 900, 10: 10}, m_min=1, m_cap=1) == 0.0
+    for bad in ({"m_min": math.nan}, {"m_min": 0}, {"m_cap": math.nan}):
+        with pytest.raises(af.InputError, match=next(iter(bad))):
+            af.tail_phi_values({1: 900, 10: 10}, **bad)
 
 
 def test_burn_rate_estimator_no_lightning():
@@ -639,6 +642,9 @@ def test_burn_rate_estimator_no_lightning():
         af.burn_rate_estimate(records, (1.0, 0.5))
     with pytest.raises(af.InputError):
         af.burn_rate_estimate(records, (0.5, 3.0))
+    for window in ((math.nan, 1.0), (0.5, math.nan)):
+        with pytest.raises(af.InputError):
+            af.burn_rate_estimate(records, window)
 
 
 def test_long_run_burning_rate_near_one_half():

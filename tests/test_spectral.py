@@ -89,15 +89,34 @@ def test_tiny_total_mass_is_solved_at_once(squared, monkeypatch):
     assert pair.residual <= 1e-10 * ref.lam
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_non_finite_residual_stops_at_once():
-    # the norm of this start overflows, so the second sweep is already NaN
+def test_non_finite_residual_stops_at_once(monkeypatch):
+    # a sweep that gives NaN ends the loop at once, not after MAX_ITERS
+    monkeypatch.setattr(af.spectral, "min_kernel_apply",
+                        lambda x, u: np.full(u.size, math.nan))
     m = af.AgeMeasure([1.0, 2.0, 3.0], [0.25, 0.5, 0.25])
     began = time.perf_counter()
     with pytest.raises(af.IterationLimitError) as err:
-        af.leading_pair(m, start=np.full(3, 1e308))
+        af.leading_pair(m, start=np.ones(3))
     assert time.perf_counter() - began < 0.1
     assert math.isnan(err.value.residual)
+
+
+@pytest.mark.filterwarnings("error")
+def test_start_is_read_by_its_direction():
+    # a start times 2^1020, whose norm overflows, gives the pair of the
+    # start to the bit; an all-zero start is the all-ones start
+    m = af.AgeMeasure([1.0, 2.0, 3.0], [0.25, 0.5, 0.25])
+    start = np.array([0.3, 0.9, 1.7])
+    pair = af.leading_pair(m, start=start)
+    scaled = af.leading_pair(m, start=np.ldexp(start, 1020))
+    assert scaled.lam == pair.lam
+    assert np.array_equal(scaled.theta, pair.theta)
+    assert scaled.iterations == pair.iterations
+    huge = af.leading_pair(m, start=np.full(3, 1e308))
+    ones = af.leading_pair(m, start=np.ones(3))
+    zero = af.leading_pair(m, start=np.zeros(3))
+    for p in (huge, zero):
+        assert p.lam == ones.lam and np.array_equal(p.theta, ones.theta)
 
 
 @pytest.mark.filterwarnings("error")
@@ -353,7 +372,7 @@ def test_min_kernel_apply_matches_dense():
 
 
 def test_normalization_weighted_not_plain():
-    m = af.from_atoms([(1.0, 0.2), (3.0, 0.8)])
+    m = af.AgeMeasure([1.0, 3.0], [0.2, 0.8])
     pair = af.leading_pair(m)
     assert abs(float(pair.theta @ m.masses) - 1.0) < 1e-12
 
@@ -462,9 +481,9 @@ def test_round_trip_positive_part_only():
     assert rebuilt.n_atoms == 1
     assert abs(rebuilt.locations[0] - 2.0) < 1e-12
     assert abs(rebuilt.masses[0] - 0.5) < 1e-12
-    completed = af.from_atoms(
-        [(0.0, 1.0 - rebuilt.total_mass())]
-        + list(zip(rebuilt.locations, rebuilt.masses)))
+    completed = af.AgeMeasure(
+        np.concatenate(([0.0], rebuilt.locations)),
+        np.concatenate(([1.0 - rebuilt.total_mass()], rebuilt.masses)))
     assert af.w1(completed, m) < 1e-12
 
 

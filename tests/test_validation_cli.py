@@ -220,7 +220,8 @@ def test_cli_simulate_iid_initial_ages(tmp_path):
     snap = af.AgeMeasure.from_csv(out / "seed_0" / "snapshot_t0.010000.csv")
     # ages drawn from {0, 2}, then aged by 0.01 with no fires
     assert set(np.round(snap.locations, 6).tolist()) <= {0.01, 2.01}
-    assert abs(snap.cdf(1.0) - 0.5) < 0.15  # ~Binomial(300, 1/2) fraction at 0
+    at_most_one = snap.masses[snap.locations <= 1.0].sum()
+    assert abs(at_most_one - 0.5) < 0.15  # ~Binomial(300, 1/2) fraction at 0
 
 
 def test_cli_simulate_iid_graph_follows_the_product_law(tmp_path,
@@ -285,6 +286,11 @@ def _write_config(path, config):
     # ~1e8 and ~1e16 expected events: above the cap of 1e7 per replica
     (["--n", "1", "--lightning", "1e9", "--t-max", "0.1"], None),
     (["--n", "1", "--lightning", "1e17", "--t-max", "0.1"], None),
+    # 0 expected events, but 1e12 vertices: above the cap of 1e7
+    (["--n", "1000000000000", "--t-max", "0", "--lightning", "0"], None),
+    ([], {"n": 10 ** 7 + 1}),
+    # an atom count above the cap of 1e6, of the preset the ages come from
+    (["--init", "iid:fixedpoint:1e300,40"], None),
 ])
 def test_cli_simulate_rejects_bad_input(tmp_path, capsys, flags, config):
     # a dict config is written as JSON, a str config as raw text
@@ -346,6 +352,10 @@ def test_cli_simulate_rejects_bad_input(tmp_path, capsys, flags, config):
     (["solve", "--init", "dirac:0", "--t-max", "1.000001", "--dt", "1e-6"],
      None, "1,000,000"),
     (["gel", "--init", "fixedpoint:3.5"], None, "integer atom count"),
+    # atom counts above the cap of 1,000,000, refused before any allocation
+    (["gel", "--init", "fixedpoint:1e300,40"], None, "1,000,000"),
+    (["fixedpoint", "--atoms", "10000000000"], None, "1,000,000"),
+    (["fixedpoint"], {"n_atoms": 10 ** 400}, "1,000,000"),
 ])
 def test_cli_solve_and_gel_reject_bad_input(tmp_path, capsys, argv, config,
                                             key):
