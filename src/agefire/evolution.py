@@ -34,6 +34,7 @@ unit time.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
@@ -192,9 +193,15 @@ def _check_budgets(**budgets: float) -> None:
 
 def step(state: EvolutionState, dt: float, *, merge_eps: float = 1e-6,
          lambda_drift_budget: float = 1e-3) -> EvolutionState:
-    """Advance one critical step of size dt (transport, decay, rebirth)."""
-    if dt <= 0:
-        raise InputError("dt must be positive")
+    """Advance one critical step of size dt (transport, decay, rebirth).
+
+    dt must be finite, > 0 and large enough to move ``state.t``.
+    """
+    if not (math.isfinite(dt) and dt > 0):
+        raise InputError("dt must be finite and > 0")
+    if state.t + dt == state.t:
+        raise InputError(f"dt = {dt:g} is too small to advance time "
+                         f"at t = {state.t:g}")
     _check_budgets(merge_eps=merge_eps, lambda_drift_budget=lambda_drift_budget)
     if state.pair is None or state.mode != "critical":
         raise InputError("step() requires a critical-mode state")
@@ -313,7 +320,8 @@ def solve(pi0: ProbabilityAgeMeasure, t_max: float,
     pi0 = pi0.as_probability()
     cps_src = opts.checkpoints if opts.checkpoints is not None \
         else even_checkpoints(t_max, 10)
-    cps = checkpoint_times([0.0, *cps_src, t_max], 0.0, t_max)
+    cps = checkpoint_times(cps_src, 0.0, t_max)  # the caller's times alone
+    cps = checkpoint_times([0.0, *cps.values(), t_max], 0.0, t_max)
 
     t_gel, pair0, pair = _gelation(pi0, GEL_TOL)
     states: list[EvolutionState] = []
@@ -542,11 +550,20 @@ def checkpoint_times(times: Sequence[float], t0: float,
     """The checkpoint rule of :func:`solve` and :func:`~agefire.mfffa.run`:
     {snapshot name: time} over the distinct times, in time order.
 
-    Every time must lie in [t0, t_max + 1e-12] (NaN does not); exact
-    duplicates are one checkpoint; two different times that share a
-    snapshot name are an InputError, since the later state would
-    overwrite the earlier one's files.
+    ``times`` must be an iterable of real numbers other than a str or
+    bytes (which would iterate by character).  Every time must lie in
+    [t0, t_max + 1e-12] (NaN does not); exact duplicates are one
+    checkpoint; two different times that share a snapshot name are an
+    InputError, since the later state would overwrite the earlier one's
+    files.
     """
+    if isinstance(times, (str, bytes)) or not np.iterable(times):
+        raise InputError(f"checkpoints must be a sequence of times, not "
+                         f"{type(times).__name__}")
+    times = list(times)  # an iterator is read once
+    for c in times:
+        if not isinstance(c, numbers.Real):
+            raise InputError(f"checkpoint {c!r} is not a number")
     cps = sorted({float(c) for c in times})
     if not all(t0 <= c <= t_max + 1e-12 for c in cps):
         raise InputError(f"checkpoints must lie in [{t0:.12g}, {t_max:.12g}]")

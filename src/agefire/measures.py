@@ -105,17 +105,17 @@ class AgeMeasure:
         return float(self.masses.sum())
 
     def first_moment(self) -> float:
-        return float((self.locations * self.masses).sum())
+        return _first_moment(self.locations, self.masses)
 
     def tail_first_moment(self, r: float) -> float:
         """Sum of x * mass over atoms with x >= r.
 
         Equals the first moment at r = 0 and is nonincreasing in r; these
         tail moments define the neighborhood system in which the solver's
-        a-priori bounds live.
+        a-priori bounds live.  A moment that overflows is an InputError.
         """
         i = int(np.searchsorted(self.locations, r, side="left"))
-        return float((self.locations[i:] * self.masses[i:]).sum())
+        return _first_moment(self.locations[i:], self.masses[i:])
 
     # -- transformations ---------------------------------------------------
 
@@ -138,15 +138,40 @@ class AgeMeasure:
 
     @classmethod
     def from_csv(cls, path) -> "AgeMeasure":
+        """Read a :meth:`to_csv` snapshot; a malformed row or measure is an
+        InputError naming the file."""
         rows = Path(path).read_text().strip().splitlines()
         if not rows or rows[0].strip() != "location,mass":
             raise InputError(f"{path}: expected header 'location,mass'")
-        pairs = [tuple(float(v) for v in row.split(",")) for row in rows[1:]]
-        return cls([p[0] for p in pairs], [p[1] for p in pairs])
+        locs, mass = [], []
+        for line, row in enumerate(rows[1:], start=2):
+            try:
+                x, m = map(float, row.split(","))
+            except ValueError:
+                raise InputError(f"{path}: line {line} is not two numbers "
+                                 f"'location,mass': {row!r}") from None
+            locs.append(x)
+            mass.append(m)
+        try:
+            return cls(locs, mass)
+        except InputError as exc:
+            raise InputError(f"{path}: {exc}") from None
 
     def __repr__(self):  # keep short: measures can hold 1e5 atoms
+        with np.errstate(over="ignore"):  # a mean that overflows reads inf
+            mean = float((self.locations * self.masses).sum())
         return (f"{type(self).__name__}(n_atoms={self.n_atoms}, "
-                f"mass={self.total_mass():.6g}, mean={self.first_moment():.6g})")
+                f"mass={self.total_mass():.6g}, mean={mean:.6g})")
+
+
+def _first_moment(locations: np.ndarray, masses: np.ndarray) -> float:
+    """Sum of location * mass; an InputError where it overflows."""
+    with np.errstate(over="ignore"):
+        moment = float((locations * masses).sum())
+    if not math.isfinite(moment):
+        raise InputError("the first moment of the measure does not fit in "
+                         "a float")
+    return moment
 
 
 class ProbabilityAgeMeasure(AgeMeasure):

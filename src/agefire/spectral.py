@@ -40,14 +40,13 @@ import numpy as np
 from .errors import DegenerateOperatorError, InputError, IterationLimitError
 from .measures import AgeMeasure
 
-#: threshold on successive Rayleigh-quotient increments
+#: the power loop stops, after at least two sweeps, when the symmetric
+#: residual is at most this fraction of the eigenvalue (or 40 sweeps have
+#: passed without progress), so that the reported theta-form residual
+#: lands comfortably under 1e-10 * lam
 EIGEN_TOL = 1e-13
 #: cap on power-iteration sweeps, read at each call
 MAX_ITERS = 100_000
-#: the solver also polishes until the symmetric residual is below this
-#: fraction of the eigenvalue (or stops improving), so that the reported
-#: theta-form residual lands comfortably under 1e-10 * lam
-_RESID_FRAC = 1e-13
 #: a cold solve of at most this many positive atoms starts the power loop
 #: from 32 sweeps' worth of dense squarings (:func:`_squared_start`); near
 #: 100 atoms the O(N^3) squarings cost as much as the sweeps they save
@@ -119,6 +118,26 @@ def _squared_start(xs: np.ndarray, d: np.ndarray) -> np.ndarray:
     return k @ d
 
 
+def _scaled(x: np.ndarray, w: np.ndarray):
+    """(x / age_scale, w * 2^-mass_exp, age_scale, mass_exp) for sorted ages
+    x and masses w: age_scale is a power of two near the largest age, and
+    mass_exp an even power of two that brings the total mass near 1.
+
+    min(x, y) is homogeneous, so tiny or huge ages and masses then neither
+    underflow nor overflow, and products with powers of two are exact, so
+    ordinary measures give the same bits as unscaled ones.  A total mass
+    that overflows is an InputError.
+    """
+    with np.errstate(over="ignore"):
+        total = float(w.sum())
+    if not math.isfinite(total):
+        raise InputError("the total mass of the measure is not finite")
+    age_scale = math.ldexp(1.0, math.frexp(x[-1])[1] - 1)
+    mass_exp = 2 * (math.frexp(total)[1] // 2)
+    ws = np.ldexp(w, -mass_exp) if mass_exp else w
+    return x / age_scale, ws, age_scale, mass_exp
+
+
 def _positive_part(measure: AgeMeasure):
     locs, mass = measure.locations, measure.masses
     if locs.size and locs[0] == 0.0:
@@ -135,32 +154,25 @@ def leading_pair(measure: AgeMeasure, *,
     counts, and an all-zero start is read as all ones); the default is the
     all-ones vector, advanced 32 sweeps by :func:`_squared_start` when the
     positive part has at most ``SQUARED_START_ATOMS`` atoms.  ``iterations``
-    counts the sweeps of the power loop only.  The loop stops when the
-    Rayleigh quotient moves by less than ``EIGEN_TOL`` (relative) and the
-    residual is small; it raises IterationLimitError (carrying the last
-    residual) after ``MAX_ITERS`` sweeps.  A measure supported on {0} is a
-    DegenerateOperatorError, and one whose total mass overflows an
-    InputError.
+    counts the sweeps of the power loop only.  After at least two sweeps the
+    loop stops when the symmetric residual max|K v - rho v| of the unit
+    iterate v is at most ``EIGEN_TOL * rho`` (a residual r bounds the error
+    of rho by r^2 / gap), or when 40 sweeps have passed without a new
+    minimum of the residual or a new maximum of rho.  The rule has no
+    absolute part, so scaling every age by 2^k scales lam by exactly 2^k
+    and leaves theta and ``iterations`` as they are.  The loop raises
+    IterationLimitError (carrying the last residual) after ``MAX_ITERS``
+    sweeps.  A measure supported on {0} is a DegenerateOperatorError, and
+    one whose total mass overflows an InputError.
     """
     xp, wp, has_zero_atom = _positive_part(measure)
     if xp.size == 0:
         raise DegenerateOperatorError(
             "measure is supported on {0}; the min-kernel operator is zero")
-    # min(x, y) is homogeneous: iterate on the ages over a power of two near
-    # the largest, and on the masses times an even power of two that brings
-    # their total near 1, so that tiny or huge ages and masses neither
-    # underflow nor overflow.  lam is homogeneous of degree 1 in both, and
-    # d = sqrt(w) scales by the exact half power, so ordinary measures give
-    # the same bits as unscaled ones; ``scale`` undoes both factors.
-    with np.errstate(over="ignore"):
-        total = float(wp.sum())
-    if not math.isfinite(total):
-        raise InputError("the total mass of the measure is not finite")
-    age_scale = math.ldexp(1.0, math.frexp(xp[-1])[1] - 1)
-    mass_exp = 2 * (math.frexp(total)[1] // 2)
+    # lam is homogeneous of degree 1 in the ages and in the masses, and
+    # d = sqrt(w) scales by the exact half power; ``scale`` undoes both
+    xs, ws, age_scale, mass_exp = _scaled(xp, wp)
     scale = math.ldexp(age_scale, mass_exp)
-    xs = xp / age_scale
-    ws = np.ldexp(wp, -mass_exp) if mass_exp else wp
     d = np.sqrt(ws)
     if start is None:  # all-ones theta in symmetrized coordinates is d
         v = _squared_start(xs, d) if xp.size <= SQUARED_START_ATOMS else d.copy()
@@ -179,11 +191,8 @@ def leading_pair(measure: AgeMeasure, *,
     norm = math.sqrt(v @ v)
     v = d / math.sqrt(d @ d) if norm == 0.0 else v / norm
 
-    rayleigh_old = np.inf
-    best_resid = np.inf
-    stalled = 0
-    iters = 0
-    while True:
+    best_resid, best_rho = np.inf, -np.inf
+    for iters in range(1, MAX_ITERS + 1):
         mv = d * min_kernel_apply(xs, d * v)
         rayleigh = float(v @ mv)
         resid_sym = float(np.max(np.abs(mv - rayleigh * v)))
@@ -192,23 +201,22 @@ def leading_pair(measure: AgeMeasure, *,
                 f"power iteration broke down (symmetric residual "
                 f"{resid_sym})", residual=resid_sym)
         v = mv / math.sqrt(mv @ mv)
-        iters += 1
-        if resid_sym < 0.999 * best_resid:
-            best_resid = resid_sym
-            stalled = 0
-        else:
-            stalled += 1  # residual at the rounding floor
-        rq_done = (abs(rayleigh - rayleigh_old) * scale
-                   < EIGEN_TOL * max(1.0, abs(rayleigh) * scale))
-        resid_done = resid_sym <= _RESID_FRAC * abs(rayleigh) or stalled > 40
-        if rq_done and resid_done:
+        # a sweep makes progress when the residual reaches a new minimum or
+        # rho (nondecreasing in exact arithmetic) a new maximum; at the
+        # rounding floor neither happens.  The max-norm residual alone can
+        # rise for dozens of sweeps from a start that happens to fit well
+        if resid_sym < best_resid or rayleigh > best_rho:
+            best_resid = min(best_resid, resid_sym)
+            best_rho = max(best_rho, rayleigh)
+            progressed = iters
+        if iters > 1 and (resid_sym <= EIGEN_TOL * abs(rayleigh)
+                          or iters - progressed > 40):
             break
-        if iters >= MAX_ITERS:
-            raise IterationLimitError(
-                f"power iteration did not converge in {MAX_ITERS} sweeps "
-                f"(symmetric residual {resid_sym * scale:.3e})",
-                residual=resid_sym * scale)
-        rayleigh_old = rayleigh
+    else:
+        raise IterationLimitError(
+            f"power iteration did not converge in {MAX_ITERS} sweeps "
+            f"(symmetric residual {resid_sym * scale:.3e})",
+            residual=resid_sym * scale)
 
     lam = rayleigh * scale
     theta_pos = np.maximum(v, 0.0) / d
@@ -301,8 +309,11 @@ def theta_to_pi(lam: float, kinks: Sequence[tuple[float, float]]) -> AgeMeasure:
         raise InputError("kink locations must be strictly increasing and > 0")
     if (th <= 0).any():
         raise InputError("theta must be strictly positive at kinks > 0")
-    slopes = np.diff(np.concatenate(([0.0], th))) / np.diff(np.concatenate(([0.0], x)))
-    slopes = np.concatenate((slopes, [0.0]))
+    with np.errstate(over="ignore"):
+        slopes = np.diff(th, prepend=0.0) / np.diff(x, prepend=0.0)
+    if not np.isfinite(slopes).all():
+        raise InputError("a kink slope theta / x overflows")
+    slopes = np.append(slopes, 0.0)
     tol = CONCAVITY_TOL * max(1.0, float(slopes[0]))
     if (np.diff(slopes) > tol).any():
         raise InputError("kinks do not describe a concave function")
@@ -327,24 +338,30 @@ def lambda_lower_bound(measure: AgeMeasure) -> float:
     x, w = measure.locations, measure.masses
     if x.size == 0:
         return 0.0
-    tail = np.cumsum(w[::-1])[::-1]
-    return float(np.max(x * tail))
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = float(np.max(x * np.cumsum(w[::-1])[::-1]))
+    if not math.isfinite(bound):
+        raise InputError("the lower bound x * pi([x, inf)) overflows")
+    return bound
 
 
 def lambda_upper_bounds(measure: AgeMeasure) -> tuple[float, float]:
     """(mean bound, Hilbert-Schmidt bound), with lam <= HS <= mean.
 
     The mean bound is the first moment; the HS bound is the Frobenius norm
-    of the weighted kernel, sqrt(double integral of (x ^ y)^2).
+    of the weighted kernel, sqrt(double integral of (x ^ y)^2), summed on
+    the ages and masses scaled as :func:`leading_pair` scales them, so that
+    huge ages or masses do not overflow the squares.
     """
     x, w = measure.locations, measure.masses
     mean = measure.first_moment()
     if x.size == 0:
         return mean, 0.0
+    x, w, age_scale, mass_exp = _scaled(x, w)
     cum_w = np.cumsum(w)
     cum_x2w = np.cumsum(x * x * w)
     hs_sq = float(w @ (cum_x2w + x * x * (cum_w[-1] - cum_w)))
-    return mean, float(np.sqrt(hs_sq))
+    return mean, math.ldexp(math.sqrt(hs_sq) * age_scale, mass_exp)
 
 
 def explicit_theta_bound(measure: AgeMeasure, C: float) -> float:

@@ -52,8 +52,14 @@ def test_step_near_stationarity():
 
 def test_step_rejects_bad_input():
     state = _critical_state(0.0, af.two_atom(0.5))
-    with pytest.raises(af.InputError):
-        af.step(state, -1e-3)
+    for dt in (-1e-3, 0.0, math.nan, math.inf):
+        with pytest.raises(af.InputError, match="finite and > 0"):
+            af.step(state, dt)
+    # a step below half an ulp of t would not move the clock
+    later = _critical_state(1.0, af.two_atom(0.5))
+    for dt in (1e-300, 1e-17):
+        with pytest.raises(af.InputError, match="too small"):
+            af.step(later, dt)
     with pytest.raises(af.AccuracyError):
         af.step(state, 1e-3, lambda_drift_budget=1e-16)
     for budgets in ({"merge_eps": math.nan}, {"merge_eps": -1e-6},
@@ -505,6 +511,28 @@ def test_solve_checkpoint_validation():
         af.solve(af.two_atom(0.5), 1.0, EvolveOptions(checkpoints=[-0.5]))
     with pytest.raises(af.InputError):
         af.solve(af.two_atom(0.5), -1.0)
+
+
+#: checkpoints that are not an iterable of numbers; a str or bytes would
+#: iterate by character ("12" as 1 and 2)
+BAD_CHECKPOINTS = ["12", "0.5", b"1", 1.5, [None], ["0.5"], np.array(0.5),
+                   [[0.5]]]
+
+
+@pytest.mark.parametrize("checkpoints", BAD_CHECKPOINTS, ids=[
+    "str", "str-number", "bytes", "float", "none", "str-element",
+    "0-d-array", "nested"])
+def test_solve_rejects_checkpoints_that_are_not_numbers(checkpoints):
+    with pytest.raises(af.InputError, match="checkpoint"):
+        af.solve(af.two_atom(0.5), 1.0, EvolveOptions(checkpoints=checkpoints))
+
+
+def test_solve_reads_checkpoints_from_any_iterable():
+    want = af.solve(af.two_atom(0.5), 0.5, EvolveOptions(checkpoints=[0.25]))
+    for checkpoints in ((0.25,), iter([0.25]), np.array([0.25])):
+        got = af.solve(af.two_atom(0.5), 0.5,
+                       EvolveOptions(checkpoints=checkpoints))
+        assert got.times.tolist() == want.times.tolist()
 
 
 @pytest.mark.parametrize("t_max, opts", [

@@ -293,6 +293,16 @@ def test_tail_first_moment():
         assert all(np.diff(vals) <= 1e-15)
 
 
+def test_moment_that_overflows_is_an_input_error():
+    m = af.AgeMeasure([1.7e308, 1.79e308], [1.0, 1.0])
+    with pytest.raises(af.InputError, match="first moment"):
+        m.first_moment()
+    with pytest.raises(af.InputError, match="first moment"):
+        m.tail_first_moment(0.0)
+    assert m.tail_first_moment(1.75e308) == 1.79e308
+    assert "mean=inf" in repr(m)
+
+
 # ---------------------------------------------------------------------------
 # W1
 # ---------------------------------------------------------------------------
@@ -578,6 +588,23 @@ def test_csv_round_trip(tmp_path):
     back = af.AgeMeasure.from_csv(path)
     np.testing.assert_allclose(back.locations, m.locations, rtol=0, atol=0)
     np.testing.assert_allclose(back.masses, m.masses, rtol=0, atol=0)
+
+
+@pytest.mark.parametrize("text, match", [
+    ("location,mass\n1.0,abc\n", "line 2"),
+    ("location,mass\n1.0,0.5\n\n2.0,0.5\n", "line 3"),
+    ("location,mass\n1.0\n", "line 2"),
+    ("location,mass\n1.0,0.5,3.0\n", "line 2"),
+    ("location,mass\n-1.0,0.5\n", ">= 0"),
+], ids=["not-a-number", "blank-line", "short-row", "third-cell",
+        "negative-age"])
+def test_from_csv_rejects_malformed_rows(tmp_path, text, match):
+    path = tmp_path / "snapshot.csv"
+    path.write_text(text)
+    with pytest.raises(af.InputError, match=match) as err:
+        af.AgeMeasure.from_csv(path)
+    assert str(err.value).startswith(str(path))
+    assert "\n" not in str(err.value)
 
 
 def test_probability_validation():

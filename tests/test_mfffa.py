@@ -596,6 +596,18 @@ def test_run_collapses_duplicate_checkpoints_and_rejects_name_collisions():
     assert g.rng.bit_generator.state == state
 
 
+@pytest.mark.parametrize("checkpoints", ["12", "0.5", b"1", 1.5, [None], ["0.5"]],
+                         ids=["str", "str-number", "bytes", "float", "none",
+                              "str-element"])
+def test_run_rejects_checkpoints_that_are_not_numbers(checkpoints):
+    g = af.sample_irg(0.0, n=20, seed=0)
+    state = g.rng.bit_generator.state
+    with pytest.raises(af.InputError, match="checkpoint"):
+        af.run(g, 0.1, 20.0, checkpoints)
+    assert g.t == 0.0
+    assert g.rng.bit_generator.state == state
+
+
 def test_partition_stays_consistent_over_many_events():
     # ~25000 events (rate ~ n/2 per unit time) with many unions and strikes
     # leave the component state consistent
