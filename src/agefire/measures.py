@@ -43,7 +43,8 @@ MAX_ATOMS = 10 ** 6
 
 @dataclass(frozen=True, eq=False)
 class AgeMeasure:
-    """Finite positive measure on [0, inf) stored as weighted atoms.
+    """Finite positive measure on [0, inf) stored as weighted atoms.  The
+    ages, the masses and the total mass must be finite.
 
     Instances are immutable (arrays are marked read-only) and therefore
     safe to share between threads; every operation returns a new value.
@@ -61,13 +62,19 @@ class AgeMeasure:
         if locs.size:
             # min and max propagate NaN, so four finite extremes mean every
             # entry is finite
-            x_lo, x_hi, m_lo = locs.min(), locs.max(), mass.min()
-            if not all(map(math.isfinite, (x_lo, x_hi, m_lo, mass.max()))):
+            x_lo, x_hi = locs.min(), locs.max()
+            m_lo, m_hi = mass.min(), mass.max()
+            if not all(map(math.isfinite, (x_lo, x_hi, m_lo, m_hi))):
                 raise InputError("locations and masses must be finite")
             if x_lo < 0:
                 raise InputError("atom locations must be >= 0")
             if m_lo < 0:
                 raise InputError("atom masses must be >= 0")
+            if m_hi > 1e300 / mass.size:  # only then can the sum overflow
+                with np.errstate(over="ignore"):
+                    if not math.isfinite(mass.sum()):
+                        raise InputError("the total mass of the measure is "
+                                         "not finite")
             canonical = m_lo > 0 and (locs[1:] > locs[:-1]).all()
         if canonical:
             # already canonical: only copy, so no caller array is aliased

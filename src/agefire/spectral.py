@@ -125,17 +125,23 @@ def _scaled(x: np.ndarray, w: np.ndarray):
 
     min(x, y) is homogeneous, so tiny or huge ages and masses then neither
     underflow nor overflow, and products with powers of two are exact, so
-    ordinary measures give the same bits as unscaled ones.  A total mass
-    that overflows is an InputError.
+    ordinary measures give the same bits as unscaled ones.  The total mass
+    is finite: :class:`AgeMeasure` rejects any other.
     """
-    with np.errstate(over="ignore"):
-        total = float(w.sum())
-    if not math.isfinite(total):
-        raise InputError("the total mass of the measure is not finite")
+    total = float(w.sum())
     age_scale = math.ldexp(1.0, math.frexp(x[-1])[1] - 1)
     mass_exp = 2 * (math.frexp(total)[1] // 2)
     ws = np.ldexp(w, -mass_exp) if mass_exp else w
     return x / age_scale, ws, age_scale, mass_exp
+
+
+def _unscaled(value: float, exp: int) -> float:
+    """value * 2^exp, rounded once (as a product with a power of two that
+    fits); inf where it overflows."""
+    try:
+        return math.ldexp(value, exp)
+    except OverflowError:
+        return math.copysign(math.inf, value)
 
 
 def _positive_part(measure: AgeMeasure):
@@ -163,16 +169,16 @@ def leading_pair(measure: AgeMeasure, *,
     and leaves theta and ``iterations`` as they are.  The loop raises
     IterationLimitError (carrying the last residual) after ``MAX_ITERS``
     sweeps.  A measure supported on {0} is a DegenerateOperatorError, and
-    one whose total mass overflows an InputError.
+    one whose eigenvalue does not fit in a float an InputError.
     """
     xp, wp, has_zero_atom = _positive_part(measure)
     if xp.size == 0:
         raise DegenerateOperatorError(
             "measure is supported on {0}; the min-kernel operator is zero")
     # lam is homogeneous of degree 1 in the ages and in the masses, and
-    # d = sqrt(w) scales by the exact half power; ``scale`` undoes both
+    # d = sqrt(w) scales by the exact half power; 2^scale_exp undoes both
     xs, ws, age_scale, mass_exp = _scaled(xp, wp)
-    scale = math.ldexp(age_scale, mass_exp)
+    scale_exp = math.frexp(age_scale)[1] - 1 + mass_exp
     d = np.sqrt(ws)
     if start is None:  # all-ones theta in symmetrized coordinates is d
         v = _squared_start(xs, d) if xp.size <= SQUARED_START_ATOMS else d.copy()
@@ -215,10 +221,13 @@ def leading_pair(measure: AgeMeasure, *,
     else:
         raise IterationLimitError(
             f"power iteration did not converge in {MAX_ITERS} sweeps "
-            f"(symmetric residual {resid_sym * scale:.3e})",
-            residual=resid_sym * scale)
+            f"(symmetric residual {_unscaled(resid_sym, scale_exp):.3e})",
+            residual=_unscaled(resid_sym, scale_exp))
 
-    lam = rayleigh * scale
+    lam = _unscaled(rayleigh, scale_exp)
+    if lam == math.inf:
+        raise InputError(f"the eigenvalue {rayleigh:.6g} * 2^{scale_exp} "
+                         f"does not fit in a float")
     theta_pos = np.maximum(v, 0.0) / d
     theta_pos /= float(theta_pos @ ws)
     # lam * theta and K(theta * w) keep their values when the masses scale

@@ -293,6 +293,18 @@ def test_tail_first_moment():
         assert all(np.diff(vals) <= 1e-15)
 
 
+@pytest.mark.filterwarnings("error")
+def test_total_mass_that_overflows_is_an_input_error():
+    # each mass is finite, their sum is not; duplicates would merge into one
+    for locs in ([1.0, 2.0], [1.0, 1.0]):
+        with pytest.raises(af.InputError, match="total mass"):
+            af.AgeMeasure(locs, [1.7e308, 1.7e308])
+    big = af.AgeMeasure([1.0, 2.0], [8e307, 8e307])
+    assert big.total_mass() == 1.6e308
+    assert "mass=1.6e+308" in repr(big)
+    assert af.w1(big, big) == 0.0
+
+
 def test_moment_that_overflows_is_an_input_error():
     m = af.AgeMeasure([1.7e308, 1.79e308], [1.0, 1.0])
     with pytest.raises(af.InputError, match="first moment"):

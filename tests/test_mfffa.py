@@ -12,8 +12,9 @@ import pytest
 from scipy import stats
 
 import agefire as af
-from agefire.mfffa import (FireGraph, _int64_buffer, _partition,
-                           _sorted_irg_edges, _uniform_index)
+from agefire.evolution import checkpoint_times
+from agefire.mfffa import (FireGraph, SimRecord, _int64_buffer, _partition,
+                           _sorted_irg_edges, _vertex_pairs)
 
 
 def edge_count_stats(n, ages):
@@ -391,7 +392,8 @@ def test_run_single_vertex_without_lightning_draws_nothing():
     assert [r.age_measure.locations.tolist() for r in records] == [
         [2.5], [3.0], [4.5]]
     assert [r.cluster_hist for r in records] == [{1: 1}] * 3
-    assert all(r.burn_events == r.burned_vertices == 0 for r in records)
+    assert all(r.burn_events == r.burned_vertices == r.edge_events == 0
+               for r in records)
     assert all(r.phi_hat_window == 0.0 for r in records)
     assert g.t == 2.0
     assert g.rng.bit_generator.state == state
@@ -425,83 +427,216 @@ def _run_digest(records, graph):
     return h.hexdigest()
 
 
-# ---------------------------------------------------------------------------
-# draws through the bit generator's C entry points
-# ---------------------------------------------------------------------------
-
-def _twins(seed):
-    """Two generators in the same state, and the C entry points of the
-    second one."""
-    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-    bits = b.bit_generator.ctypes
-    return a, b, bits.next_uint32, bits.next_double, bits.state_address
-
-
-# 2**31 - 1 and 3 * 2**30 reach the rejection loop
+# 2**31 - 1 and 3 * 2**30 reach numpy's rejection step
 @pytest.mark.parametrize("n", [1, 2, 3, 1000, 128_000, 2**31 - 1, 3 * 2**30])
 def test_uniform_index_equals_generator_integers(n):
-    a, b, next_u32, _, state = _twins(n)
-    want = [int(a.integers(n)) for _ in range(20_000)]
-    got = [_uniform_index(next_u32, state, n) for _ in range(20_000)]
-    assert got == want
+    # a block's vertex pairs are Generator.integers draws, the second one
+    # drawn from the other n - 1 vertices and moved past the first
+    a, b = np.random.default_rng(n), np.random.default_rng(n)
+    first, second = _vertex_pairs(b, n, 20_000)
+    assert first.tolist() == a.integers(n, size=20_000).tolist()
+    if n == 1:  # a single vertex draws nothing
+        assert second.tolist() == [0] * 20_000
+        assert a.bit_generator.state == np.random.default_rng(n).bit_generator.state
+    else:
+        others = a.integers(n - 1, size=20_000)
+        assert second.tolist() == (others + (others >= first)).tolist()
+        assert (second != first).all()
+        assert second.min() >= 0 and second.max() < n
     assert b.bit_generator.state == a.bit_generator.state
 
 
-@pytest.mark.parametrize("lo, hi", [(0, 1), (5, 6), (7, 10), (-50, 950),
-                                    (1, 128_000)])
-def test_uniform_index_offsets_equal_generator_integers(lo, hi):
-    a, b, next_u32, _, state = _twins(hi)
-    want = [int(a.integers(lo, hi)) for _ in range(20_000)]
-    got = [lo + _uniform_index(next_u32, state, hi - lo)
-           for _ in range(20_000)]
-    assert got == want
-    assert b.bit_generator.state == a.bit_generator.state
-    if hi - lo == 1:  # a single value draws nothing
-        assert a.bit_generator.state == np.random.default_rng(hi).bit_generator.state
-
-
-def test_c_entry_points_keep_the_generator_state():
-    # mixed draws leave the same state, including the buffered half of a
-    # 64-bit output (has_uint32, uinteger), as the numpy methods
-    a, b, next_u32, next_double, state = _twins(9)
-    buffered = set()  # has_uint32 as each exponential draw starts
-    for op in np.random.default_rng(10).integers(4, size=5_000):
-        if op == 0:
-            assert next_double(state) == a.random()
-        elif op == 1:
-            assert next_u32(state) == a.integers(2**32, dtype=np.uint32)
-        elif op == 2:
-            assert _uniform_index(next_u32, state, 999) == a.integers(999)
+def _event_loop_oracle(graph, lambda_n, t_max, checkpoints):
+    """The event loop of :func:`agefire.run` before its draws came in
+    blocks: per event one ``rng.exponential`` wait, one ``rng.random()``
+    coin and ``rng.integers(n)`` vertices, the second one redrawn until it
+    differs from the first.  It reproduces ``OLD_PINNED_RUNS``."""
+    n = graph.n
+    rate_edge = 0.5 * n * (n - 1) * (1.0 / n)
+    rate_total = rate_edge + n * lambda_n
+    p_edge = rate_edge / rate_total if rate_total else 0.0
+    cps = list(checkpoint_times(checkpoints, graph.t, t_max).values())
+    rng = graph.rng
+    records = []
+    edges = strikes = burned = 0
+    prev_t, prev_burned = graph.t, 0
+    while True:
+        t_next = graph.t + rng.exponential(1.0 / rate_total) \
+            if rate_total else math.inf
+        while len(records) < len(cps) and cps[len(records)] <= t_next:
+            cp_t = cps[len(records)]
+            window = cp_t - prev_t
+            saved_t, graph.t = graph.t, cp_t
+            records.append(SimRecord(
+                t=cp_t, n=n, age_measure=af.empirical_age_measure(graph),
+                cluster_hist=af.cluster_sizes(graph), burn_events=strikes,
+                burned_vertices=burned, edge_events=edges,
+                phi_hat_window=(burned - prev_burned) / (n * window)
+                if window > 0 else 0.0))
+            graph.t = saved_t
+            prev_t, prev_burned = cp_t, burned
+        if t_next > t_max:
+            break
+        graph.t = t_next
+        if rng.random() < p_edge:
+            i, j = int(rng.integers(n)), int(rng.integers(n))
+            while j == i:
+                j = int(rng.integers(n))
+            af.add_edge(graph, i, j)
+            edges += 1
         else:
-            buffered.add(a.bit_generator.state["has_uint32"])
-            assert b.exponential(0.5) == a.exponential(0.5)
-        assert b.bit_generator.state == a.bit_generator.state
-    assert buffered == {0, 1}
+            strikes += 1
+            burned += af.strike(graph, int(rng.integers(n)))
+    graph.t = t_max
+    return records
+
+
+def _pinned_case(case, loop):
+    """The records and final graph of one pinned case run by ``loop``:
+    "dense" samples its graph with _dense_irg, "sorted" and "zero-age"
+    with sample_irg."""
+    if case == "zero-age":
+        n = 500
+        g = af.sample_irg(0.0, n=n, seed=3)
+        return loop(g, n ** -0.5, 3.0, [1.0, 2.0, 3.0]), g
+    n, seed = (300, 0) if case == "dense" else (400, 1)
+    ages = np.random.default_rng(seed).exponential(2.0, size=n)
+    sample = _dense_irg if case == "dense" else af.sample_irg
+    g = sample(ages, seed=seed + 1)
+    return loop(g, n ** -0.5, 2.0, [0.5, 1.0, 2.0]), g
 
 
 # Pinned on fixed seeds; a refactor of the simulator state that keeps the
-# RNG draw order must reproduce these digests exactly.  "dense" samples
-# its graph with _dense_irg, "sorted" and "zero-age" with sample_irg.
-PINNED_RUNS = {
+# RNG draw order must reproduce these digests exactly.  PINNED_RUNS pins
+# the block draws of run, OLD_PINNED_RUNS the one-draw-per-call stream of
+# _event_loop_oracle.
+OLD_PINNED_RUNS = {
     "dense": "5a4130eb7c299830edbf7de6e105ec33f149ca5a7fd680afe7493bba4c7d7ef8",
     "sorted": "eb08bb38c1e85db4d5e43b8ef2cf1d80bde804fba38c0b72fe92fce09897a19c",
     "zero-age": "0996163c57d511601b22cda8b7e83581d8e318ac60be904d43d860e2a1616bf6",
 }
+PINNED_RUNS = {
+    "dense": "c9d3629c97f0074473a703c9a3b891e5ae56a8e608fde67f1d03a37a373dc012",
+    "sorted": "b0bb7a096f7c32bf1a6913519f0622b153d5ebb031a22445726b934ea73a6ec2",
+    "zero-age": "1345e5876957953fcdefa6b8e11044812857fa5fee8b15ae57ee586dc8ed318d",
+}
+
+
+@pytest.mark.parametrize("case", sorted(OLD_PINNED_RUNS))
+def test_event_loop_oracle_reproduces_old_pins(case):
+    records, g = _pinned_case(case, _event_loop_oracle)
+    assert _run_digest(records, g) == OLD_PINNED_RUNS[case]
 
 
 @pytest.mark.parametrize("case", sorted(PINNED_RUNS))
 def test_run_records_are_bit_identical_to_pinned(case):
-    if case == "zero-age":
-        n = 500
-        g = af.sample_irg(0.0, n=n, seed=3)
-        records = af.run(g, n ** -0.5, 3.0, [1.0, 2.0, 3.0])
-    else:
-        n, seed = (300, 0) if case == "dense" else (400, 1)
-        ages = np.random.default_rng(seed).exponential(2.0, size=n)
-        sample = _dense_irg if case == "dense" else af.sample_irg
-        g = sample(ages, seed=seed + 1)
-        records = af.run(g, n ** -0.5, 2.0, [0.5, 1.0, 2.0])
+    records, g = _pinned_case(case, af.run)
     assert _run_digest(records, g) == PINNED_RUNS[case]
+
+
+LAW_CASES = ("lightning", "zero-age")
+LAW_SEEDS = 1000  # replicas of each loop per case
+LAW_ALPHA = 1e-3  # family-wise level, Bonferroni-split over every KS test
+
+
+def _law_statistics(case, loop, seeds):
+    """Per replica: edge events, strikes, burned vertices, largest cluster,
+    cluster count and mean age, at t = 0.5 and t = 2 (n = 300)."""
+    n = 300
+    if case == "lightning":
+        ages, lam = np.random.default_rng(41).exponential(2.0, size=n), 0.1
+    else:
+        ages, lam = 0.0, n ** -0.5
+    rows = []
+    for seed in seeds:
+        g = af.sample_irg(ages, n=n, seed=seed)
+        rows.append([x for r in loop(g, lam, 2.0, [0.5, 2.0])
+                     for x in (r.edge_events, r.burn_events, r.burned_vertices,
+                               r.largest_cluster, r.n_clusters,
+                               r.age_measure.first_moment())])
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("case", LAW_CASES)
+def test_run_law_equals_event_loop_oracle(case):
+    # block draws change the stream, not the law: each statistic of run on
+    # one seed list against the one-draw-per-call oracle on another, by a
+    # two-sample KS test
+    oracle = _law_statistics(case, _event_loop_oracle, range(LAW_SEEDS))
+    blocks = _law_statistics(case, af.run, range(LAW_SEEDS, 2 * LAW_SEEDS))
+    pvalues = [stats.ks_2samp(oracle[:, k], blocks[:, k]).pvalue
+               for k in range(oracle.shape[1])]
+    assert min(pvalues) > LAW_ALPHA / (len(LAW_CASES) * len(pvalues)), pvalues
+    # strikes at t <= 2 burn clusters, not only singletons
+    assert oracle[:, 8].sum() > 3 * oracle[:, 7].sum()
+
+
+@pytest.mark.parametrize("n", [2, 3, 7])
+def test_run_events_pick_uniform_vertices(n, monkeypatch):
+    # an edge event joins one of the n (n - 1) ordered pairs of distinct
+    # vertices, a strike one of the n vertices, each uniformly
+    pairs, struck = [], []
+    add_edge, strike = af.mfffa.add_edge, af.mfffa.strike
+    monkeypatch.setattr(af.mfffa, "add_edge",
+                        lambda g, i, j: pairs.append((i, j)) or add_edge(g, i, j))
+    monkeypatch.setattr(af.mfffa, "strike",
+                        lambda g, v: struck.append(v) or strike(g, v))
+    t_max = 6000.0 / (n - 1)  # 3000 edge events expected
+    g = af.sample_irg(0.0, n=n, seed=6)
+    record = af.run(g, 1.0, t_max, [t_max])[0]
+    assert (record.edge_events, record.burn_events) == (len(pairs), len(struck))
+    counts = {pq: 0 for pq in itertools.permutations(range(n), 2)}
+    for pq in pairs:
+        counts[pq] += 1  # a KeyError is a self-loop
+    assert stats.chisquare(list(counts.values())).pvalue > ALPHA
+    assert stats.chisquare(np.bincount(struck, minlength=n)).pvalue > ALPHA
+    # edge events at rate (n - 1) / 2, strikes at n * lambda
+    for count, mean in ((len(pairs), 3000.0), (len(struck), n * t_max)):
+        assert abs(count - mean) <= 4.0 * math.sqrt(mean)
+
+
+def test_run_single_vertex_with_lightning_only_strikes():
+    # one vertex has no pair to draw: every event strikes vertex 0
+    g = af.sample_irg(1.0, n=1, seed=2)
+    records = af.run(g, 2.0, 10.0, [5.0, 10.0])
+    for r in records:
+        assert r.edge_events == 0
+        assert r.burned_vertices == r.burn_events
+        assert abs(r.burn_events - 2.0 * r.t) <= 4.0 * math.sqrt(2.0 * r.t)
+    assert 0.0 <= g.ages()[0] < 10.0
+
+
+def test_run_strikes_in_time_order_across_blocks(monkeypatch):
+    # ~5 000 events span several blocks: the strikes come in time order,
+    # each at its own time, and a record counts the strikes before it
+    times = []
+    strike = af.mfffa.strike
+    monkeypatch.setattr(af.mfffa, "strike",
+                        lambda g, v: times.append(g.t) or strike(g, v))
+    g = af.sample_irg(0.0, n=50, seed=4)
+    records = af.run(g, 2.0, 40.0, [10.0, 20.0, 30.0, 40.0])
+    assert 0.0 < times[0] and all(np.diff(times) > 0) and times[-1] <= 40.0
+    for r in records:
+        assert r.burn_events == np.searchsorted(times, r.t)
+        mean = (24.5 + 100.0) * r.t  # (n - 1) / 2 + n * lambda per unit time
+        assert abs(r.edge_events + r.burn_events - mean) <= 4.0 * math.sqrt(mean)
+    # each burned vertex's last burn is one of the strike times
+    burned = g.last_burn[g.last_burn > 0]
+    assert np.isin(burned, times).all() and burned.size > 0
+
+
+def test_run_counts_edge_events():
+    # with lambda = 0 every event is an edge event: Poisson((n - 1) t / 2)
+    # by time t, counted cumulatively across checkpoints and blocks
+    n = 2001
+    g = af.sample_irg(0.0, n=n, seed=12)
+    records = af.run(g, 0.0, 4.0, [1.0, 2.0, 4.0])
+    counts = [r.edge_events for r in records]
+    assert counts == sorted(counts)
+    for r in records:
+        mean = (n - 1) / 2 * r.t
+        assert abs(r.edge_events - mean) <= 4.0 * math.sqrt(mean)
+        assert r.burn_events == 0
 
 
 def test_run_is_deterministic_given_seed():
@@ -685,7 +820,10 @@ def test_sim_outputs(tmp_path):
     records = af.run(g, 0.1, 1.0, [0.5, 1.0])
     af.write_sim_outputs(records, tmp_path)
     lines = (tmp_path / "sim.csv").read_text().strip().splitlines()
-    assert lines[0] == "t,burned_cum,largest_cluster,n_clusters,phi_hat_window"
+    assert lines[0] == ("t,burned_cum,largest_cluster,n_clusters,"
+                        "phi_hat_window,edge_events")
     assert len(lines) == 3
+    assert [int(row.split(",")[-1]) for row in lines[1:]] == \
+        [r.edge_events for r in records]
     assert (tmp_path / "snapshot_t0.500000.csv").exists()
     assert (tmp_path / "clusters_t1.000000.csv").exists()

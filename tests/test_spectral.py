@@ -166,14 +166,26 @@ def test_start_is_read_by_its_direction():
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("start", [None, np.ones(3)], ids=["cold", "warm"])
 def test_non_finite_total_mass_is_an_input_error(start, monkeypatch):
-    # every mass is finite, but their sum overflows
+    # every mass is finite, but their sum overflows: the measure itself is
+    # rejected, so no eigen-solve starts
     sweeps = []
     monkeypatch.setattr(af.spectral, "min_kernel_apply",
                         lambda x, u: sweeps.append(1) or min_kernel_apply(x, u))
-    huge = af.AgeMeasure([1.0, 2.0, 3.0], [1e308, 1e308, 1e308])
     with pytest.raises(af.InputError, match="total mass"):
-        af.leading_pair(huge, start=start)
+        af.leading_pair(af.AgeMeasure([1.0, 2.0, 3.0], [1e308, 1e308, 1e308]),
+                        start=start)
     assert sweeps == []
+
+
+@pytest.mark.filterwarnings("error")
+def test_eigenvalue_that_overflows_is_an_input_error():
+    # lam = 0.87 * 2^1030 does not fit; lam near the largest float does
+    huge = af.AgeMeasure([1e300], [1e10])
+    for solve in (af.leading_pair, af.phi):
+        with pytest.raises(af.InputError, match=r"eigenvalue .* 2\^1030"):
+            solve(huge)
+    assert af.leading_pair(af.AgeMeasure([1e300], [1.7e8])).lam == \
+        pytest.approx(1.7e308, rel=1e-12)
 
 
 def test_two_atom_pair_closed_form():
