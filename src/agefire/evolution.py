@@ -295,13 +295,13 @@ def solve(pi0: ProbabilityAgeMeasure, t_max: float,
           opts: EvolveOptions = EvolveOptions()) -> Trajectory:
     """Solve the age dynamics from pi0 up to t_max, recording checkpoints.
 
-    Checkpoints before the gelation time t_gel are transport rows (translates
-    of pi0, phi = 0), those after it critical rows stepped from the switch
-    row: pi0.translate(t_gel) with the pair the gelation audit solved.  The
+    Every checkpoint has a row at its own time: checkpoints before the
+    gelation time t_gel are transport rows (translates of pi0, phi = 0),
+    the others critical rows stepped from the switch state:
+    pi0.translate(t_gel) with the pair the gelation audit solved.  The
     checkpoints, with 0 and t_max added, follow :func:`checkpoint_times`.
-    The switch row is recorded unless a checkpoint more than 1e-12 away
-    writes its snapshot name; a checkpoint within 1e-12 of t_gel is the
-    switch row.
+    The switch state is a row of its own when t_gel <= t_max and no
+    checkpoint has its snapshot name.
     Supercritical data are rejected; critical data switch at t = 0, and the
     degenerate start (all mass at age 0) is subcritical with t_gel = 1.
     A step dt below half an ulp of t_max, which would stop the clock, is an
@@ -326,16 +326,15 @@ def solve(pi0: ProbabilityAgeMeasure, t_max: float,
     t_gel, pair0, pair = _gelation(pi0, GEL_TOL)
     states: list[EvolutionState] = []
     for c in cps.values():
-        if c < t_gel - 1e-12:
+        if c < t_gel:
             pi_c = pi0.translate(c) if c > 0 else pi0
             states.append(EvolutionState(
                 t=c, pi=pi_c, mode="transport", phi=0.0,
                 pair=leading_pair(pi_c) if c > 0 else pair0))
     state = switch = _critical_state(t_gel, pair.source, pair=pair)
-    t_named = cps.get(snapshot_filename(t_gel), t_gel)
-    if t_gel <= t_max + 1e-12 and abs(t_named - t_gel) <= 1e-12:
+    if t_gel <= t_max and snapshot_filename(t_gel) not in cps:
         states.append(switch)
-    for target in [c for c in cps.values() if c > t_gel + 1e-12]:
+    for target in [c for c in cps.values() if c >= t_gel]:
         while target - state.t > 1e-12:
             h = min(opts.dt, target - state.t)
             state = step(state, h, merge_eps=opts.merge_eps,

@@ -286,19 +286,22 @@ def run(graph: FireGraph, lambda_n: float, t_max: float,
     InputError, but no cap bounds the expected number of events,
     t_max * ((n - 1) / 2 + n * lambda_n); ``agefire simulate`` applies one.
 
-    The events are drawn in blocks of ``_BLOCK``, each draw one numpy call
-    per block: the waits (standard exponentials over the total rate,
-    summed in order from the current time), the kinds (a uniform below
-    the edge share is an edge event), a first vertex (the struck one of a
-    strike) and a second one, uniform over the other n - 1 vertices
+    The run stops at each checkpoint and then at t_max.  From the current
+    time to each stop it draws blocks of ``_BLOCK`` events, each draw one
+    numpy call per block: the waits (standard exponentials over the total
+    rate, summed in order from the current time), the kinds (a uniform
+    below the edge share is an edge event), a first vertex (the struck one
+    of a strike) and a second one, uniform over the other n - 1 vertices
     without rejection (``integers(n - 1)``, plus one at or above the
-    first).  No draw depends on the graph, so drawing ahead changes the
-    stream but not the law; the wait that overshoots t_max is discarded,
-    which the memoryless waits make exact.  Each block is cut at the
-    checkpoints and at t_max (an event at a checkpoint's time follows its
-    record), and one Python pass applies each segment through
-    :func:`add_edge` and :func:`strike`.  A run with no events draws
-    nothing.
+    first).  One Python pass applies the events before the stop through
+    :func:`add_edge` and :func:`strike` (an event at a checkpoint's time
+    follows its record), and the draws past the stop are discarded.  No
+    draw depends on the graph and the waits are memoryless, so drawing
+    ahead and discarding change the stream but not the law.  Nothing is
+    carried from one stop to the next, so a run split at a checkpoint,
+    ``run(g, lam, c, [c])`` then ``run(g, lam, t_max, rest)``, gives the
+    same graph and records as one run, apart from the cumulative counters,
+    which restart.  A run with no events draws nothing.
     """
     if not (math.isfinite(lambda_n) and lambda_n >= 0):
         raise InputError("lambda_n must be finite and >= 0")
@@ -325,51 +328,32 @@ def run(graph: FireGraph, lambda_n: float, t_max: float,
 
     records: list[SimRecord] = []
     edge_events = burn_events = burned_vertices = 0
-    prev_cp_t = graph.t
-    prev_cp_burned = 0
-    next_cp = 0
-
-    def emit(cp_t: float):
-        nonlocal prev_cp_t, prev_cp_burned
-        window = cp_t - prev_cp_t
-        rate = (burned_vertices - prev_cp_burned) / (n * window) if window > 0 else 0.0
-        graph.t = cp_t
-        records.append(SimRecord(
-            t=cp_t, n=n, age_measure=empirical_age_measure(graph),
-            cluster_hist=cluster_sizes(graph), burn_events=burn_events,
-            burned_vertices=burned_vertices, phi_hat_window=rate,
-            edge_events=edge_events))
-        prev_cp_t, prev_cp_burned = cp_t, burned_vertices
-
-    # a single vertex without lightning has no events: nothing is drawn
-    t = graph.t
-    while rate_total:
-        waits = rng.standard_exponential(_BLOCK) / rate_total
-        waits[0] += t
-        times = np.cumsum(waits)
-        joins = rng.random(_BLOCK) < p_edge
-        first, second = _vertex_pairs(rng, n, _BLOCK)
-        end = int(np.searchsorted(times, t_max, side="right"))
-        lo = 0
-        while True:
-            at_cp = next_cp < len(cps) and cps[next_cp] <= times[-1]
-            hi = int(np.searchsorted(times, cps[next_cp])) if at_cp else end
-            n_joins = int(np.count_nonzero(joins[lo:hi]))
+    for k, stop in enumerate((*cps, t_max)):
+        start, burned_before = graph.t, burned_vertices
+        # a single vertex without lightning has no events: nothing is drawn
+        while rate_total and graph.t < stop:
+            waits = rng.standard_exponential(_BLOCK) / rate_total
+            waits[0] += graph.t
+            times = np.cumsum(waits)
+            joins = rng.random(_BLOCK) < p_edge
+            first, second = _vertex_pairs(rng, n, _BLOCK)
+            cut = int(np.searchsorted(times, stop))   # the events before stop
+            n_joins = int(np.count_nonzero(joins[:cut]))
             edge_events += n_joins
-            burn_events += hi - lo - n_joins
-            burned_vertices += _apply_events(graph, joins[lo:hi], first[lo:hi],
-                                             second[lo:hi], times[lo:hi])
-            if not at_cp:
-                break
-            emit(cps[next_cp])
-            next_cp += 1
-            lo = hi
-        if end < _BLOCK:
+            burn_events += cut - n_joins
+            burned_vertices += _apply_events(graph, joins[:cut], first[:cut],
+                                             second[:cut], times[:cut])
+            graph.t = min(float(times[-1]), stop)
+        graph.t = stop
+        if k == len(cps):
             break
-        t = float(times[-1])
-    for cp_t in cps[next_cp:]:
-        emit(cp_t)
-    graph.t = t_max
+        window = stop - start
+        records.append(SimRecord(
+            t=stop, n=n, age_measure=empirical_age_measure(graph),
+            cluster_hist=cluster_sizes(graph), burn_events=burn_events,
+            burned_vertices=burned_vertices, edge_events=edge_events,
+            phi_hat_window=(burned_vertices - burned_before) / (n * window)
+            if window > 0 else 0.0))
     return records
 
 

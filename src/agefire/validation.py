@@ -17,6 +17,11 @@ from . import measures as ms
 from . import spectral as sp
 from . import evolution as ev
 
+#: seed of the random measures of the metric, spectral and round-trip suites
+SEED = 2024
+#: random cases of each of those suites
+METRIC_CASES, SPECTRAL_CASES, ROUNDTRIP_CASES = 200, 100, 100
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -55,10 +60,10 @@ def _collect(name, margins, tol=0.0, detail=""):
 
 # ---------------------------------------------------------------------------
 
-def suite_metric(seed: int = 2024, cases: int = 200) -> list[CheckResult]:
-    rng = np.random.default_rng(seed)
+def suite_metric() -> list[CheckResult]:
+    rng = np.random.default_rng(SEED)
     sym, tri, ident, mean_id, transl, tail_mono = [], [], [], [], [], []
-    for _ in range(cases):
+    for _ in range(METRIC_CASES):
         a = random_probability_measure(rng)
         b = random_probability_measure(rng)
         c = random_probability_measure(rng)
@@ -85,12 +90,11 @@ def suite_metric(seed: int = 2024, cases: int = 200) -> list[CheckResult]:
     ]
 
 
-def suite_spectral(seed: int = 2024, cases: int = 100,
-                   lipschitz_pairs: int = 100,
+def suite_spectral(lipschitz_pairs: int = 100,
                    trace_cases: int = 30) -> list[CheckResult]:
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SEED)
     resid, norm, shape, slope_bd, phi_bd, order, mono, rebal = ([] for _ in range(8))
-    for _ in range(cases):
+    for _ in range(SPECTRAL_CASES):
         m = random_probability_measure(rng, max_atoms=40)
         pair = sp.leading_pair(m)
         resid.append(1e-10 * pair.lam - pair.residual)
@@ -153,10 +157,10 @@ def suite_spectral(seed: int = 2024, cases: int = 100,
     ]
 
 
-def suite_roundtrip(seed: int = 2024, cases: int = 100) -> list[CheckResult]:
-    rng = np.random.default_rng(seed)
+def suite_roundtrip() -> list[CheckResult]:
+    rng = np.random.default_rng(SEED)
     errs = []
-    for _ in range(cases):
+    for _ in range(ROUNDTRIP_CASES):
         m = random_probability_measure(rng, max_atoms=50, min_atoms=2,
                                        zero_atom_prob=0.0)
         pair = sp.leading_pair(m)

@@ -154,7 +154,7 @@ def test_criterion_06_w1_identities():
         want = 2.0 * (1.0 - min(p, q) / max(p, q))
         got = af.w1(af.two_atom(p), af.two_atom(q))
         assert abs(got - want) <= 1e-12, f"W1 formula at (p, q) = ({p}, {q})"
-    metric = suite_metric(cases=200)
+    metric = suite_metric()
     for check in metric:
         assert check.passed, check.line()
     rng = np.random.default_rng(606)
@@ -171,7 +171,7 @@ def test_criterion_06_w1_identities():
 
 def test_criterion_07_spectral_property_suite():
     t0 = time.perf_counter()
-    results = suite_spectral(cases=100, lipschitz_pairs=500, trace_cases=100)
+    results = suite_spectral(lipschitz_pairs=500, trace_cases=100)
     for check in results:
         assert check.passed, check.line()
     elapsed = time.perf_counter() - t0
@@ -183,7 +183,7 @@ def test_criterion_07_spectral_property_suite():
 
 def test_criterion_08_round_trip():
     t0 = time.perf_counter()
-    results = suite_roundtrip(cases=100)
+    results = suite_roundtrip()
     for check in results:
         assert check.passed, check.line()
     elapsed = time.perf_counter() - t0

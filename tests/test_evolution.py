@@ -443,29 +443,39 @@ def test_solve_subcritical_composite_start():
     assert traj.switch_lambda_jump <= 1e-9
 
 
-@pytest.mark.parametrize("checkpoints, rows", [
+@pytest.mark.parametrize("a, t_max, checkpoints, rows", [
     # a checkpoint 0.01 before the switch does not hide it
-    ([0.0, 0.99, 1.5], [(0.0, "transport"), (0.99, "transport"),
-                        (1.0, "critical"), (1.5, "critical")]),
+    (0.0, 1.5, [0.0, 0.99, 1.5], [(0.0, "transport"), (0.99, "transport"),
+                                  (1.0, "critical"), (1.5, "critical")]),
     # a checkpoint writing the switch's snapshot name takes its place
-    ([0.0, 1.0 + 1e-7, 1.5], [(0.0, "transport"), (1.0 + 1e-7, "critical"),
-                              (1.5, "critical")]),
-    # a checkpoint within 1e-12 of the switch is the switch row
-    ([0.0, 1.0 - 1e-13, 1.5], [(0.0, "transport"), (1.0, "critical"),
-                               (1.5, "critical")]),
+    (0.0, 1.5, [0.0, 1.0 + 1e-7, 1.5], [(0.0, "transport"),
+                                        (1.0 + 1e-7, "critical"),
+                                        (1.5, "critical")]),
+    # a checkpoint just before the switch is a transport row at its own
+    # time, and takes the switch's place because it has its name
+    (0.0, 1.5, [0.0, 1.0 - 1e-13, 1.5], [(0.0, "transport"),
+                                         (1.0 - 1e-13, "transport"),
+                                         (1.5, "critical")]),
     # the name comes from the .12g text 1.0000005, so this checkpoint
     # writes snapshot_t1.000001.csv and leaves the switch's name free
-    ([0.0, 1.0000004999999998, 1.5], [(0.0, "transport"), (1.0, "critical"),
-                                      (1.0000004999999998, "critical"),
-                                      (1.5, "critical")]),
+    (0.0, 1.5, [0.0, 1.0000004999999998, 1.5], [
+        (0.0, "transport"), (1.0, "critical"),
+        (1.0000004999999998, "critical"), (1.5, "critical")]),
+    # t_gel = 0.25000049999999996 is named t0.250001; a checkpoint 1e-12
+    # before it is named t0.250000 and keeps its own row
+    (0.7499995, 0.26, [0.250000499999], [
+        (0.0, "transport"), (0.250000499999, "transport"),
+        (0.25000049999999996, "critical"), (0.26, "critical")]),
 ], ids=["checkpoint_before_switch", "same_name", "within_1e-12",
-        "name_from_12g_text"])
-def test_solve_records_the_switch_by_snapshot_name(checkpoints, rows):
-    traj = af.solve(af.dirac(0.0), 1.5, EvolveOptions(
+        "name_from_12g_text", "other_name_within_1e-12"])
+def test_solve_records_the_switch_by_snapshot_name(a, t_max, checkpoints,
+                                                   rows):
+    traj = af.solve(af.dirac(a), t_max, EvolveOptions(
         dt=1e-3, checkpoints=checkpoints))
-    assert traj.t_gel == 1.0
+    assert traj.t_gel == 1.0 - a
     assert [(s.t, s.mode) for s in traj.states] == rows
     assert traj.states[-2].lambda_drift <= 1e-6
+    assert [traj.state_at(t).t for t, _ in rows] == [t for t, _ in rows]
 
 
 def _cold_solves(monkeypatch):
