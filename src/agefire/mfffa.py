@@ -12,11 +12,16 @@ start (all ages 0, no edges) reaches the critical edge density at time 1.
 Every output (ages, cluster histogram, burn counters) depends on the graph
 only through its connected components, and an edge inside a component
 never changes them, so the state is the component partition alone: a
-union-find in place of the edge set, kept in three flat int64 arrays (a
-label per vertex, a successor that cycles through each component, and a
-size per label; 24 bytes per vertex and no Python object per vertex).
-Union by size relabels the smaller cycle and splices the two (Tarjan,
-J. ACM 22, 1975).  A strike turns its component back into singletons.
+union-find forest in place of the edge set, kept in three flat int64
+arrays (a parent per vertex, a successor that cycles through each
+component, and a size per root; 24 bytes per vertex and no Python object
+per vertex).  A union finds both roots with path halving, hangs the
+smaller tree under the larger (union by size, so no tree is deeper than
+log2 n) and splices the two cycles (Tarjan and van Leeuwen, J. ACM 31,
+1984).  A strike walks its cycle and turns the component back into
+singletons.  Within a block of events, the components that no strike
+touches are merged in one numpy pass, and only the struck ones replay
+their edges in time order.
 
 The initial graph may be sampled as an age-driven inhomogeneous random
 graph: conditional on the ages, each pair (v, w) is connected independently
@@ -50,12 +55,14 @@ class FireGraph:
 
     The components live in three flat int64 buffers of length n (each a
     ``memoryview`` cast to ``'q'`` over a ``bytearray``; 24 bytes per
-    vertex).  ``root[v]`` labels the component of v, and a label is a
-    vertex of its own component (``root[r] == r``).  ``succ`` is a
-    permutation whose cycles are the components: walking ``succ`` from any
-    vertex visits its component once and returns.  ``size[r]`` is the size
-    of the component labelled r, and 0 when r is no label.  Bulk readers
-    view the buffers through ``np.frombuffer`` without a copy.
+    vertex).  ``root`` is a union-find forest: ``root[v]`` is v's parent,
+    a vertex of its own component, and following parents ends at the
+    component's root r (``root[r] == r``) within log2 n steps, so
+    ``root[v]`` is a label only at a root.  ``succ`` is a permutation whose
+    cycles are the components: walking ``succ`` from any vertex visits its
+    component once and returns.  ``size[r]`` is the size of the component
+    of root r, and 0 off the roots.  Bulk readers view the buffers through
+    ``np.frombuffer`` without a copy.
     ``edge_count`` is the number of edges :func:`sample_irg` drew; it is
     not updated afterwards.
     """
@@ -147,32 +154,16 @@ def _sorted_irg_edges(ages: np.ndarray, rng: np.random.Generator):
 
 def _partition(n: int, u: np.ndarray, v: np.ndarray):
     """``root``, ``succ`` and ``size`` (see :class:`FireGraph`) of the
-    components of the graph with edges (u[k], v[k]), each labelled by its
-    smallest vertex.
+    components of the graph with edges (u[k], v[k]), each a tree of depth
+    at most one under its smallest vertex.
 
-    Min-label hooking with pointer jumping: ``label[x]`` is a vertex of x's
-    component no larger than x, and each round hooks the larger label of
-    every edge whose ends disagree onto the smaller one, then jumps every
-    label to its fixed point.  Each round removes at least one label, and
-    the sparse graphs sampled here settle in a few rounds.  Then a stable
-    argsort by label lists each component in increasing vertex order, its
-    label first; each vertex's successor is the next one in its group, and
-    the last closes the cycle on the label.  No Python object is built per
-    vertex, and each temporary is freed once used.
+    :func:`_min_labels` labels each component by its smallest vertex.
+    Then a stable argsort by label lists each component in increasing
+    vertex order, its label first; each vertex's successor is the next one
+    in its group, and the last closes the cycle on the label.  No Python
+    object is built per vertex, and each temporary is freed once used.
     """
-    label = np.arange(n)
-    while True:
-        lu, lv = label[u], label[v]
-        split = lu != lv
-        if not split.any():
-            break
-        np.minimum.at(label, np.maximum(lu, lv)[split], np.minimum(lu, lv)[split])
-        while True:
-            jumped = label[label]
-            if np.array_equal(jumped, label):
-                break
-            label = jumped
-    del lu, lv, split
+    label = _min_labels(n, u, v)
     root = _int64_buffer(label)
     size = _int64_buffer(np.bincount(label, minlength=n))
     order = np.argsort(label, kind="stable")
@@ -189,6 +180,30 @@ def _partition(n: int, u: np.ndarray, v: np.ndarray):
     return root, _int64_buffer(succ), size
 
 
+def _min_labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The smallest vertex of each vertex's component in the graph on
+    ``range(n)`` with edges (u[k], v[k]).
+
+    Min-label hooking with pointer jumping: ``label[x]`` is a vertex of x's
+    component no larger than x, and each round hooks the larger label of
+    every edge whose ends disagree onto the smaller one, then jumps every
+    label to its fixed point.  Each round removes at least one label, and
+    the sparse graphs met here settle in a few rounds.
+    """
+    label = np.arange(n)
+    while True:
+        lu, lv = label[u], label[v]
+        split = lu != lv
+        if not split.any():
+            return label
+        np.minimum.at(label, np.maximum(lu, lv)[split], np.minimum(lu, lv)[split])
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+
+
 def _int64_buffer(values: np.ndarray) -> memoryview:
     """A copy of an integer numpy array as a flat int64 buffer: a
     ``memoryview`` cast to ``'q'`` over a ``bytearray``.  Its items read
@@ -199,21 +214,21 @@ def _int64_buffer(values: np.ndarray) -> memoryview:
 
 
 def add_edge(graph: FireGraph, i: int, j: int) -> None:
-    """Join the components of i and j.  Union by size: the smaller cycle
-    is relabelled, so a root lookup is one index, and swapping the two
-    labels' successors splices the cycles into one."""
+    """Join the components of i and j.  Each end is found with path
+    halving, the root of the smaller tree is hung under the other one
+    (union by size), and swapping the two roots' successors splices the
+    cycles into one."""
     root, succ, size = graph.root, graph.succ, graph.size
-    a, b = root[i], root[j]
+    a, b = i, j
+    while root[a] != a:
+        root[a] = a = root[root[a]]
+    while root[b] != b:
+        root[b] = b = root[root[b]]
     if a == b:
         return
     if size[a] < size[b]:
         a, b = b, a
-    u = b
-    while True:
-        root[u] = a
-        u = succ[u]
-        if u == b:
-            break
+    root[b] = a
     succ[a], succ[b] = succ[b], succ[a]
     size[a] += size[b]
     size[b] = 0
@@ -222,18 +237,21 @@ def add_edge(graph: FireGraph, i: int, j: int) -> None:
 def strike(graph: FireGraph, v: int) -> int:
     """Burn the component of v at the current time: its vertices become
     singletons (all its edges are gone) and their ages reset to zero.
-    Returns the component size."""
-    root, succ, size = graph.root, graph.succ, graph.size
-    comp = []
-    u = v
-    for _ in range(size[root[v]]):
+    One walk along ``succ`` from v lists the component; ``root``,
+    ``succ``, ``size`` and ``last_burn`` of its vertices are then reset by
+    numpy writes.  Returns the component size."""
+    succ = graph.succ
+    comp = [v]
+    u = succ[v]
+    while u != v:
         comp.append(u)
-        w = succ[u]
-        root[u] = succ[u] = u
-        size[u] = 1
-        u = w
+        u = succ[u]
+    comp = np.array(comp)
+    for buffer in (graph.root, succ):
+        np.frombuffer(buffer, np.int64)[comp] = comp
+    np.frombuffer(graph.size, np.int64)[comp] = 1
     graph.last_burn[comp] = graph.t
-    return len(comp)
+    return comp.size
 
 
 def empirical_age_measure(graph: FireGraph) -> ProbabilityAgeMeasure:
@@ -244,7 +262,7 @@ def empirical_age_measure(graph: FireGraph) -> ProbabilityAgeMeasure:
 
 def cluster_sizes(graph: FireGraph) -> dict[int, int]:
     """Histogram {component size: number of components}."""
-    counts = np.bincount(np.bincount(np.frombuffer(graph.root, np.int64)))
+    counts = np.bincount(np.frombuffer(graph.size, np.int64))
     sizes = np.flatnonzero(counts[1:]) + 1
     return dict(zip(sizes.tolist(), counts[sizes].tolist()))
 
@@ -293,15 +311,17 @@ def run(graph: FireGraph, lambda_n: float, t_max: float,
     below the edge share is an edge event), a first vertex (the struck one
     of a strike) and a second one, uniform over the other n - 1 vertices
     without rejection (``integers(n - 1)``, plus one at or above the
-    first).  One Python pass applies the events before the stop through
-    :func:`add_edge` and :func:`strike` (an event at a checkpoint's time
-    follows its record), and the draws past the stop are discarded.  No
-    draw depends on the graph and the waits are memoryless, so drawing
-    ahead and discarding change the stream but not the law.  Nothing is
-    carried from one stop to the next, so a run split at a checkpoint,
-    ``run(g, lam, c, [c])`` then ``run(g, lam, t_max, rest)``, gives the
-    same graph and records as one run, apart from the cumulative counters,
-    which restart.  A run with no events draws nothing.
+    first).  :func:`_apply_events` applies the events before the stop (an
+    event at a checkpoint's time follows its record): it merges the
+    components that no strike touches at once and replays the rest in time
+    order through :func:`add_edge` and :func:`strike`.  The draws past the
+    stop are discarded.  No draw depends on the graph and the waits are
+    memoryless, so drawing ahead and discarding change the stream but not
+    the law.  Nothing is carried from one stop to the next, so a run split
+    at a checkpoint, ``run(g, lam, c, [c])`` then
+    ``run(g, lam, t_max, rest)``, gives the same graph and records as one
+    run, apart from the cumulative counters, which restart.  A run with no
+    events draws nothing.
     """
     if not (math.isfinite(lambda_n) and lambda_n >= 0):
         raise InputError("lambda_n must be finite and >= 0")
@@ -373,18 +393,84 @@ def _vertex_pairs(rng: np.random.Generator, n: int,
 
 
 def _apply_events(graph: FireGraph, joins, first, second, times) -> int:
-    """Apply the events of one block segment in time order: an edge event
-    joins ``first`` and ``second``, a strike burns ``first`` at its time.
-    Returns the number of vertices burned."""
+    """Apply the events of one block segment: an edge event joins
+    ``first`` and ``second``, a strike burns ``first`` at its time.
+    Returns the number of vertices burned.
+
+    The segment's edges join the components at its start into groups.
+    Groups touch disjoint vertices and a strike burns part of its own
+    group only, so a group that no strike hits ends as the union of its
+    components whatever the order of its edges.  Those groups are merged
+    at once in numpy: the root of each group's largest component wins,
+    which keeps the union-by-size depth bound, and rotating the members'
+    successors by one splices their cycles.  The edges of the struck
+    groups and every strike are replayed in time order through
+    :func:`add_edge` and :func:`strike`.
+    """
+    if not times.size:
+        return 0
+    root = np.frombuffer(graph.root, np.int64)
+    succ = np.frombuffer(graph.succ, np.int64)
+    size = np.frombuffer(graph.size, np.int64)
+    edges = np.flatnonzero(joins)
+    m = edges.size
+    ends = np.concatenate((first[edges], second[edges], first[~joins]))
+    # the roots at the segment start by pointer jumping; writing them back
+    # compresses those paths
+    r = root[ends]
+    while True:
+        up = root[r]
+        if np.array_equal(up, r):
+            break
+        r = up
+    root[ends] = r
+    # compact ids: the k-th distinct root has id k
+    order = np.argsort(r)
+    new = _run_heads(r[order])
+    ids = np.empty(r.size, np.intp)
+    ids[order] = np.cumsum(new) - 1
+    roots = r[order][new]
+    group = _min_labels(roots.size, ids[:m], ids[m:2 * m])
+    struck = np.zeros(roots.size, bool)
+    struck[group[ids[2 * m:]]] = True
+    # the strike-free groups, each listed largest component first
+    members = np.flatnonzero(~struck[group])
+    members = members[np.argsort(group[members] * (graph.n + 1)
+                                 - size[roots[members]])]
+    head = _run_heads(group[members])
+    starts = np.flatnonzero(head)
+    # each member takes the next one's successor, a group's last its first's
+    nxt = np.empty_like(members)
+    nxt[:-1] = members[1:]
+    nxt[starts[1:] - 1] = members[starts[:-1]]
+    nxt[-1:] = members[starts[-1:]]
+    member_roots, winners = roots[members], roots[members[starts]]
+    totals = np.add.reduceat(size[member_roots], starts)
+    succ[member_roots] = succ[roots[nxt]]
+    root[member_roots] = winners[np.cumsum(head) - 1]
+    size[member_roots] = 0
+    size[winners] = totals
+    # the struck groups' edges and every strike, in time order
+    replay = ~joins
+    replay[edges] = struck[group[ids[:m]]]
+    replay = np.flatnonzero(replay)
     burned = 0
-    for join, i, j, t in zip(joins.tolist(), first.tolist(), second.tolist(),
-                             times.tolist()):
+    for join, i, j, t in zip(joins[replay].tolist(), first[replay].tolist(),
+                             second[replay].tolist(), times[replay].tolist()):
         if join:
             add_edge(graph, i, j)
         else:
             graph.t = t
             burned += strike(graph, i)
     return burned
+
+
+def _run_heads(values: np.ndarray) -> np.ndarray:
+    """True where a run of equal values starts in ``values``."""
+    head = np.empty(values.size, bool)
+    head[:1] = True
+    np.not_equal(values[1:], values[:-1], out=head[1:])
+    return head
 
 
 # ---------------------------------------------------------------------------

@@ -358,19 +358,33 @@ def lambda_upper_bounds(measure: AgeMeasure) -> tuple[float, float]:
     """(mean bound, Hilbert-Schmidt bound), with lam <= HS <= mean.
 
     The mean bound is the first moment; the HS bound is the Frobenius norm
-    of the weighted kernel, sqrt(double integral of (x ^ y)^2), summed on
-    the ages and masses scaled as :func:`leading_pair` scales them, so that
-    huge ages or masses do not overflow the squares.
+    of the weighted kernel, sqrt(double integral of (x ^ y)^2).  On sorted
+    atoms HS^2 = sum_i w_i (cum(x^2 w)_i + x_i^2 tail_i), tail_i being the
+    mass above atom i.  Each x^2 w and x^2 tail is a product of mantissas
+    with its exponent kept as an integer, and one power of two brings them
+    all to the largest x^2 w, so no x^2 underflows or overflows on its own
+    (an age of 1e-300 holding mass 1e300 has x^2 w = 1e-300).  The masses
+    are scaled as :func:`leading_pair` scales them.  Where the unscaled
+    sum neither underflows nor overflows, it has the same bits.
     """
     x, w = measure.locations, measure.masses
     mean = measure.first_moment()
     if x.size == 0:
         return mean, 0.0
-    x, w, age_scale, mass_exp = _scaled(x, w)
-    cum_w = np.cumsum(w)
-    cum_x2w = np.cumsum(x * x * w)
-    hs_sq = float(w @ (cum_x2w + x * x * (cum_w[-1] - cum_w)))
-    return mean, math.ldexp(math.sqrt(hs_sq) * age_scale, mass_exp)
+    _, w, _, mass_exp = _scaled(x, w)
+    tail = np.cumsum(w)
+    tail = tail[-1] - tail
+    mx, ex = np.frexp(x)
+    mw, ew = np.frexp(w)
+    mt, et = np.frexp(tail)
+    x2w, x2w_exp = mx * mx * mw, 2 * ex + ew
+    x2t, x2t_exp = mx * mx * mt, 2 * ex + et
+    # an even power of two, so that it halves in the square root; -4096 is
+    # below every exponent, so a measure on age 0 alone gives 0
+    top = 2 * (int(x2w_exp[x2w > 0].max(initial=-4096)) // 2)
+    hs_sq = float(w @ (np.cumsum(np.ldexp(x2w, x2w_exp - top))
+                       + np.ldexp(x2t, x2t_exp - top)))
+    return mean, math.ldexp(math.sqrt(hs_sq), mass_exp + top // 2)
 
 
 def explicit_theta_bound(measure: AgeMeasure, C: float) -> float:

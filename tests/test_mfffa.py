@@ -50,9 +50,21 @@ def _dense_irg(ages, seed):
     return g
 
 
+def tree_roots(g):
+    """(the root of each vertex's tree in the ``root`` forest, the depth
+    of the deepest tree), by stepping every vertex up one parent at a time;
+    a forest deeper than n (a cycle of parents) fails."""
+    parent = np.asarray(g.root)
+    label, depth = np.arange(g.n), 0
+    while not np.array_equal(parent[label], label):
+        label, depth = parent[label], depth + 1
+        assert depth <= g.n
+    return label, depth
+
+
 def components(g):
-    """{label: the vertices met walking ``succ`` from the label, in walk
-    order}; a walk that does not return to its label within n steps
+    """{root: the vertices met walking ``succ`` from the root, in walk
+    order}; a walk that does not return to its root within n steps
     fails."""
     comps = {}
     for r in range(g.n):
@@ -68,14 +80,17 @@ def components(g):
 
 def assert_partition(g):
     """``root``, ``succ`` and ``size`` describe one partition of the
-    vertices: every label r has ``root[r] == r``, the walk along ``succ``
-    from r returns to r after exactly ``size[r]`` steps and visits exactly
-    {v : root[v] == r}, and ``size`` is 0 off the labels."""
+    vertices: ``root`` is a forest of parent links no deeper than
+    floor(log2 n), the walk along ``succ`` from each root r returns to r
+    after exactly ``size[r]`` steps and visits exactly the vertices of r's
+    tree, and ``size`` is 0 off the roots."""
+    label, depth = tree_roots(g)
+    assert depth <= g.n.bit_length() - 1
     comps = components(g)
-    assert set(comps) == set(g.root)
+    assert set(comps) == set(label.tolist())
     for r, walk in comps.items():
         assert len(set(walk)) == len(walk) == g.size[r]
-        assert set(walk) == {v for v in range(g.n) if g.root[v] == r}
+        assert set(walk) == set(np.flatnonzero(label == r).tolist())
     assert all(g.size[v] == 0 for v in range(g.n) if v not in comps)
 
 
@@ -150,10 +165,10 @@ def test_strike_resets_component_and_clears_edges():
     for i, j in [(0, 1), (1, 2), (2, 0), (3, 4)]:
         af.add_edge(g, i, j)
     g.t = 3.0
-    comps = components(g)
-    comp_before = set(comps[g.root[1]])
+    comps, label = components(g), tree_roots(g)[0]
+    comp_before = set(comps[label[1]])
     assert {0, 1, 2} <= comp_before
-    others = {g.root[u]: sorted(comps[g.root[u]])
+    others = {label[u]: sorted(comps[label[u]])
               for u in set(range(60)) - comp_before}
     hist_before = af.cluster_sizes(g)
     size = af.strike(g, 1)
@@ -230,7 +245,7 @@ def _partition_sets(g):
 
 def _size_classes(g):
     """Component counts of sizes 1, 2, 3, 4 and >= 5."""
-    sizes = np.bincount(g.root)
+    sizes = np.bincount(tree_roots(g)[0])
     return np.bincount(np.minimum(sizes[sizes > 0], 5), minlength=6)[1:]
 
 
@@ -602,16 +617,84 @@ def test_run_split_at_a_checkpoint_is_the_same_run():
     assert whole[1].burn_events > whole[0].burn_events > 0
 
 
+def _sequential_apply_events(graph, joins, first, second, times):
+    """The event pass of ``_apply_events`` with no bulk merge: every event
+    of the segment in time order, through ``add_edge`` and ``strike``."""
+    burned = 0
+    for join, i, j, t in zip(joins.tolist(), first.tolist(), second.tolist(),
+                             times.tolist()):
+        if join:
+            af.add_edge(graph, i, j)
+        else:
+            graph.t = t
+            burned += af.strike(graph, i)
+    return burned
+
+
+@pytest.mark.parametrize("n", [50, 600, 20_000])
+def test_bulk_merges_equal_the_sequential_replay(n, monkeypatch):
+    # merging the strike-free groups at once gives the records, final
+    # ages, components and generator state of applying every event in
+    # time order: at lambda = 0 every edge merges in bulk, at 0.1 some
+    # are replayed (most of them at n = 50), and n^(-1/2) is the critical
+    # rate
+    ages = np.random.default_rng(n).exponential(1.0, size=n)
+    add_edge = af.mfffa.add_edge
+    for lam in (0.0, 0.1, n ** -0.5):
+        g, h = af.sample_irg(ages, seed=7), af.sample_irg(ages, seed=7)
+        replayed = []
+        with monkeypatch.context() as patch:
+            patch.setattr(af.mfffa, "add_edge",
+                          lambda g, i, j: replayed.append(i) or add_edge(g, i, j))
+            batched = af.run(g, lam, 2.0, [0.5, 1.0, 2.0])
+        with monkeypatch.context() as patch:
+            patch.setattr(af.mfffa, "_apply_events", _sequential_apply_events)
+            sequential = af.run(h, lam, 2.0, [0.5, 1.0, 2.0])
+        assert _run_digest(batched, g) == _run_digest(sequential, h)
+        assert [r.edge_events for r in batched] == [r.edge_events for r in sequential]
+        assert np.array_equal(g.last_burn, h.last_burn)
+        assert _partition_sets(g) == _partition_sets(h)
+        assert g.rng.bit_generator.state == h.rng.bit_generator.state
+        assert_partition(g)
+        bulk = batched[-1].edge_events - len(replayed)
+        if lam == 0.0:
+            assert bulk > 0 and not replayed
+        else:
+            assert batched[-1].burn_events > 0
+        if lam == 0.1:
+            assert bulk > 0 and replayed
+
+
+def test_bulk_merge_keeps_the_union_by_size_depth():
+    # one strike-free edge per segment joins a growing component, through
+    # its root, to a singleton: the singleton must hang under that root,
+    # or the tree would deepen by one per segment
+    n = 64
+    g = af.sample_irg(0.0, n=n, seed=0)
+    one = np.ones(1, bool)
+    for v in range(1, n):
+        r = int(tree_roots(g)[0][0])
+        assert af.mfffa._apply_events(g, one, np.array([r]), np.array([v]),
+                                      np.zeros(1)) == 0
+    assert af.cluster_sizes(g) == {n: 1}
+    assert tree_roots(g)[1] == 1
+    assert_partition(g)
+
+
 @pytest.mark.parametrize("n", [2, 3, 7])
 def test_run_events_pick_uniform_vertices(n, monkeypatch):
     # an edge event joins one of the n (n - 1) ordered pairs of distinct
-    # vertices, a strike one of the n vertices, each uniformly
+    # vertices, a strike one of the n vertices, each uniformly; read from
+    # the kinds and vertex pairs that run hands to _apply_events
     pairs, struck = [], []
-    add_edge, strike = af.mfffa.add_edge, af.mfffa.strike
-    monkeypatch.setattr(af.mfffa, "add_edge",
-                        lambda g, i, j: pairs.append((i, j)) or add_edge(g, i, j))
-    monkeypatch.setattr(af.mfffa, "strike",
-                        lambda g, v: struck.append(v) or strike(g, v))
+    apply_events = af.mfffa._apply_events
+
+    def spy(g, joins, first, second, times):
+        pairs.extend(zip(first[joins].tolist(), second[joins].tolist()))
+        struck.extend(first[~joins].tolist())
+        return apply_events(g, joins, first, second, times)
+
+    monkeypatch.setattr(af.mfffa, "_apply_events", spy)
     t_max = 6000.0 / (n - 1)  # 3000 edge events expected
     g = af.sample_irg(0.0, n=n, seed=6)
     record = af.run(g, 1.0, t_max, [t_max])[0]

@@ -7,6 +7,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import agefire as af
 from agefire.spectral import (EIGEN_TOL, MAX_ITERS, SQUARED_START_ATOMS,
@@ -600,6 +601,38 @@ def test_bound_ordering_random():
         assert lo <= lam + tol
         assert lam <= hs_bd + tol
         assert hs_bd <= mean_bd + tol
+
+
+def test_hs_bound_of_a_heavy_atom_at_a_tiny_age():
+    # x^2 = 1e-600 of the heavy atom underflows on its own; its x^2 w = 1e-300
+    # does not, and lam = HS = mean = 1 (the light atom adds ~1e-600)
+    m = af.AgeMeasure([1e-300, 1.0], [1e300, 1e-300])
+    assert af.lambda_lower_bound(m) == 1.0
+    assert af.lambda_upper_bounds(m) == (1.0, 1.0)
+
+
+# a positive float m * 2^e with m in [1, 2) and e in [-1000, 1000]
+WIDE_FLOATS = st.builds(math.ldexp, st.floats(1.0, 2.0, exclude_max=True),
+                        st.integers(-1000, 1000))
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(atoms=st.lists(st.tuples(WIDE_FLOATS, WIDE_FLOATS), min_size=1,
+                      max_size=8))
+def test_bounds_keep_their_order_across_the_float_range(atoms):
+    # lower <= HS <= mean on ages and masses from 1e-301 to 1e301, kept to
+    # measures whose bounds are normal floats
+    total = math.fsum(w for _, w in atoms)
+    assume(math.isfinite(total))
+    m = af.AgeMeasure([x for x, _ in atoms], [w for _, w in atoms])
+    try:
+        lo = af.lambda_lower_bound(m)
+        mean, hs = af.lambda_upper_bounds(m)
+    except af.InputError:   # x * mass overflows
+        assume(False)
+    assume(lo > 1e-290)
+    assert lo <= hs * (1 + 1e-12)
+    assert hs <= mean * (1 + 1e-12)
 
 
 def test_explicit_theta_bound_examples():
