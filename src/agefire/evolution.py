@@ -151,8 +151,8 @@ def _critical_state(t, pi, *, speed_budget=0.0, start=None, pair=None,
         history=history)
 
 
-def _atom_frame_start(state: EvolutionState, t_new: float,
-                      start: np.ndarray) -> np.ndarray:
+def _atom_frame_start(state: EvolutionState, t_new: float, locs: np.ndarray,
+                      xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
     """Warm start for the eigen-solve of the step from ``state`` to t_new.
 
     theta's kinks sit on the atoms and move with them, so theta at a fixed
@@ -160,21 +160,23 @@ def _atom_frame_start(state: EvolutionState, t_new: float,
     the last four steps added exactly one atom (the newborn) and merged
     none, atom j of the new measure is atom j - k of the state k steps
     back, and its theta is the cubic Lagrange extrapolation to t_new of
-    those four values (weights 4, -6, 4, -1 for equal steps).  ``start``
-    (theta of ``state`` at the new ages) is kept for the four youngest
-    atoms, and entirely when the counts do not fit or a time gap in the
-    window is below half the new step.
+    those four values (weights 4, -6, 4, -1 for equal steps).  Only the
+    four youngest of the new ages ``locs`` are then interpolated from the
+    knots (xp, fp), the old atoms and their theta; every age is, when the
+    counts do not fit or a time gap in the window is below half the new
+    step.
     """
     hist = ((state.t, state.pair.theta), *state.history)
-    n_new = start.size
+    n_new = locs.size
     if len(hist) < 4 or any(theta.size != n_new - 1 - k
                             for k, (_, theta) in enumerate(hist)):
-        return start
+        return np.interp(locs, xp, fp)
     ts = [t for t, _ in hist]
-    gaps = -np.diff([t_new, *ts])
-    if gaps.min() < 0.5 * gaps[0]:
-        return start
-    out = start.copy()
+    gaps = [a - b for a, b in zip((t_new, *ts), ts)]
+    if min(gaps) < 0.5 * gaps[0]:
+        return np.interp(locs, xp, fp)
+    out = np.empty(n_new)
+    out[:4] = np.interp(locs[:4], xp, fp)
     out[4:] = 0.0
     for k, (tk, theta) in enumerate(hist):
         weight = math.prod((t_new - tm) / (tk - tm)
@@ -206,10 +208,16 @@ def step(state: EvolutionState, dt: float, *, merge_eps: float = 1e-6,
     if state.pair is None or state.mode != "critical":
         raise InputError("step() requires a critical-mode state")
     pi, pair, rate = state.pi, state.pair, state.phi
-    decayed = pi.masses * np.exp(-rate * pair.theta * dt)
-    lost = float(pi.masses.sum() - decayed.sum())
-    locs = np.concatenate(([0.0], pi.locations + dt))
-    mass = np.concatenate(([lost], decayed))
+    n = pi.n_atoms
+    locs, mass = np.empty(n + 1), np.empty(n + 1)
+    locs[0] = 0.0
+    np.add(pi.locations, dt, out=locs[1:])
+    decayed = mass[1:]
+    np.multiply(pair.theta, -rate, out=decayed)
+    decayed *= dt
+    np.exp(decayed, out=decayed)
+    decayed *= pi.masses
+    mass[0] = pi.masses.sum() - decayed.sum()
     new_pi = ProbabilityAgeMeasure(locs, mass)
     if merge_eps > 0.0:
         new_pi = merge_atoms(new_pi, merge_eps * dt)
@@ -218,10 +226,10 @@ def step(state: EvolutionState, dt: float, *, merge_eps: float = 1e-6,
     # interpolating its atom values gives theta_at up to the eigen residual;
     # below the first old atom the clamp only feeds the age-0 entry, which
     # leading_pair ignores.  Older atoms extrapolate in their own frame
-    # when the last steps allow it
-    start = _atom_frame_start(
-        state, state.t + dt,
-        np.interp(new_pi.locations, pi.locations, pair.theta))
+    # when the last steps allow it, and then only the four youngest ages
+    # are interpolated
+    start = _atom_frame_start(state, state.t + dt, new_pi.locations,
+                              pi.locations, pair.theta)
     budget_gain = rate * float(
         (pi.locations * pair.theta * pi.masses).sum()) * dt
     new_state = _critical_state(

@@ -19,6 +19,7 @@ for atomic measures.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -41,6 +42,15 @@ MAX_TRUNCATION = 64.0
 MAX_ATOMS = 10 ** 6
 
 
+def _float_vector(values) -> np.ndarray:
+    """``values`` as a 1-D float64 array; one already is passes as is (the
+    constructor copies it)."""
+    if (type(values) is np.ndarray and values.ndim == 1
+            and values.dtype == np.float64):
+        return values
+    return np.atleast_1d(np.asarray(values, dtype=float)).ravel()
+
+
 @dataclass(frozen=True, eq=False)
 class AgeMeasure:
     """Finite positive measure on [0, inf) stored as weighted atoms.  The
@@ -54,15 +64,17 @@ class AgeMeasure:
     masses: np.ndarray
 
     def __post_init__(self):
-        locs = np.atleast_1d(np.asarray(self.locations, dtype=float)).ravel()
-        mass = np.atleast_1d(np.asarray(self.masses, dtype=float)).ravel()
+        locs, mass = _float_vector(self.locations), _float_vector(self.masses)
         if locs.shape != mass.shape:
             raise InputError("locations and masses must have equal length")
         canonical = True  # an empty measure has no extremes to check
         if locs.size:
             # min and max propagate NaN, so four finite extremes mean every
-            # entry is finite
-            x_lo, x_hi = locs.min(), locs.max()
+            # entry is finite; a NaN also fails the strict test, so strictly
+            # increasing ages have their extremes at the two ends
+            increasing = bool((locs[1:] > locs[:-1]).all())
+            x_lo, x_hi = ((locs[0], locs[-1]) if increasing
+                          else (locs.min(), locs.max()))
             m_lo, m_hi = mass.min(), mass.max()
             if not all(map(math.isfinite, (x_lo, x_hi, m_lo, m_hi))):
                 raise InputError("locations and masses must be finite")
@@ -75,7 +87,7 @@ class AgeMeasure:
                     if not math.isfinite(mass.sum()):
                         raise InputError("the total mass of the measure is "
                                          "not finite")
-            canonical = m_lo > 0 and (locs[1:] > locs[:-1]).all()
+            canonical = m_lo > 0 and increasing
         if canonical:
             # already canonical: only copy, so no caller array is aliased
             locs, mass = locs.copy(), mass.copy()
@@ -240,7 +252,8 @@ def fixed_point_measure(n_atoms: int = 2000,
     on [0, truncation] is split into ``n_atoms`` equal-probability cells,
     one atom per cell at the cell's conditional mean; any remaining tail
     mass becomes a single atom at the tail's conditional mean.  The atom
-    count is at most ``MAX_ATOMS``, checked before anything is built.  A
+    count is an integer (a float such as 10.0 is an InputError) of at most
+    ``MAX_ATOMS``, checked before anything is built.  A
     truncation above ``MAX_TRUNCATION`` is read as that value: tanh(T/2)
     rounds to 1 past T ~ 38, and the mass past 64 is below 1e-27.  Atom
     locations are then rescaled by the reciprocal of the leading eigenvalue
@@ -248,6 +261,11 @@ def fixed_point_measure(n_atoms: int = 2000,
     quantile discretization sits ~1e-3 off criticality at 2000 atoms, which
     would otherwise shift it into the subcritical branch of the evolution).
     """
+    try:
+        n_atoms = operator.index(n_atoms)
+    except TypeError:
+        raise InputError(f"fixed_point requires an integer atom count, "
+                         f"got {n_atoms!r}") from None
     if not 1 <= n_atoms <= MAX_ATOMS:
         raise InputError(f"fixed_point requires 1 <= n_atoms <= {MAX_ATOMS:,}")
     truncation = min(truncation, MAX_TRUNCATION)  # NaN stays NaN
@@ -307,11 +325,8 @@ def from_named(preset: str) -> ProbabilityAgeMeasure:
     if builder is None:
         raise InputError(f"unknown preset {preset!r}; "
                          f"choose from {sorted(_PRESETS)}")
-    if builder is fixed_point_measure and params:
-        if not params[0].is_integer():
-            raise InputError(f"fixed_point requires an integer atom count, "
-                             f"got {params[0]!r}")
-        params = (int(params[0]),) + params[1:]
+    if builder is fixed_point_measure and params and params[0].is_integer():
+        params = (int(params[0]),) + params[1:]  # the builder refuses others
     try:
         return builder(*params)
     except TypeError as exc:
@@ -361,7 +376,10 @@ def merge_atoms(measure: AgeMeasure, eps: float) -> AgeMeasure:
     locs, mass, spent = measure.locations, measure.masses, 0.0
     while locs.size > 1:
         d = locs[1:] - locs[:-1]
-        costs = 2.0 * mass[:-1] * mass[1:] * d / (mass[:-1] + mass[1:])
+        costs = np.multiply(mass[:-1], 2.0)
+        costs *= mass[1:]
+        costs *= d
+        costs /= np.add(mass[:-1], mass[1:], out=d)
         i = int(np.argmin(costs))
         if not spent + costs[i] <= eps:
             break  # cheapest remaining merge exceeds the budget

@@ -38,6 +38,7 @@ statistic (pi/2) * (sqrt(m) * sum_{k >= m} v_k)^2).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -484,12 +485,18 @@ def tail_phi_values(hist: dict[int, int], m_min: int = 4,
     v_k = k * count_k / n is the fraction of vertices in size-k clusters.
     The default cap n^(1/3) keeps m inside the power-law window: close to
     the largest cluster the finite-size cutoff dominates and the statistic
-    blows up.
+    blows up.  ``m_min`` and ``m_cap`` must be integers (``m_cap`` may be
+    None); any other value is an InputError.
     """
+    for name, value in (("m_min", m_min), ("m_cap", m_cap)):
+        if value is not None:
+            try:
+                operator.index(value)
+            except TypeError:
+                raise InputError(f"{name} must be an integer, "
+                                 f"got {value!r}") from None
     if not m_min >= 1:
         raise InputError("m_min must be >= 1")
-    if m_cap is not None and math.isnan(m_cap):
-        raise InputError("m_cap must be a number")
     sizes = np.array(sorted(hist), dtype=float)
     counts = np.array([hist[int(s)] for s in sizes], dtype=float)
     n = float((sizes * counts).sum())

@@ -66,7 +66,7 @@ def min_kernel_apply(locations: np.ndarray, u: np.ndarray) -> np.ndarray:
     buf = np.empty(u.size, dtype=complex)
     buf.real = u
     np.multiply(locations, u, out=buf.imag)
-    np.cumsum(buf, out=buf)
+    buf.cumsum(out=buf)
     cum_u, cum_xu = buf.real, buf.imag
     out = cum_u[-1] - cum_u
     out *= locations
@@ -201,7 +201,7 @@ def leading_pair(measure: AgeMeasure, *,
     for iters in range(1, MAX_ITERS + 1):
         mv = d * min_kernel_apply(xs, d * v)
         rayleigh = float(v @ mv)
-        resid_sym = float(np.max(np.abs(mv - rayleigh * v)))
+        resid_sym = float(abs(mv - rayleigh * v).max())
         if not math.isfinite(resid_sym):
             raise IterationLimitError(
                 f"power iteration broke down (symmetric residual "
@@ -231,8 +231,8 @@ def leading_pair(measure: AgeMeasure, *,
     theta_pos = np.maximum(v, 0.0) / d
     theta_pos /= float(theta_pos @ ws)
     # lam * theta and K(theta * w) keep their values when the masses scale
-    resid_s = float(np.max(np.abs(
-        rayleigh * theta_pos - min_kernel_apply(xs, theta_pos * ws))))
+    resid_s = float(abs(
+        rayleigh * theta_pos - min_kernel_apply(xs, theta_pos * ws)).max())
     residual = resid_s * age_scale
     if resid_s > 1e-6 * abs(rayleigh):
         raise IterationLimitError(
@@ -280,8 +280,10 @@ def theta_sup(pair: SpectralPair) -> float:
 def phi_of_pair(pair: SpectralPair) -> float:
     """Burning-rate functional evaluated from a precomputed eigenpair."""
     theta = pair.theta
-    cube = float((theta * theta * theta * pair.source.masses).sum())
-    return 1.0 / cube
+    cube = theta * theta
+    cube *= theta
+    cube *= pair.source.masses
+    return 1.0 / float(cube.sum())
 
 
 def phi(measure: AgeMeasure) -> float:

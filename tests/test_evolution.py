@@ -93,11 +93,16 @@ def _oracle_step(state, dt, start_at, *, merge_eps, lambda_drift_budget,
 
 
 def _theta_at_step(state, dt, *, merge_eps=1e-6, lambda_drift_budget=1e-3):
-    """Oracle: the step with theta_at, not np.interp, at the new atom ages
-    wherever the atom-frame extrapolation does not start them."""
+    """Oracle: the step with theta_at, not np.interp of the atom values, at
+    the new atom ages wherever the atom-frame extrapolation does not start
+    them.  theta_at is linear between its knots: 0 at age 0 and its values
+    at the positive atoms, flat past the last one."""
     def start_at(state, new_pi):
-        return _atom_frame_start(state, state.t + dt,
-                                 af.theta_at(state.pair, new_pi.locations))
+        x = state.pi.locations[state.pi.locations > 0]
+        knots = np.concatenate(([0.0], x))
+        values = np.concatenate(([0.0], af.theta_at(state.pair, x)))
+        return _atom_frame_start(state, state.t + dt, new_pi.locations,
+                                 knots, values)
     return _oracle_step(state, dt, start_at, merge_eps=merge_eps,
                         lambda_drift_budget=lambda_drift_budget, history=True)
 
@@ -262,11 +267,13 @@ def _cubic_history(times, n0):
 ])
 def test_atom_frame_start_extrapolates_cubics_exactly(times):
     # cubic Lagrange extrapolation in each atom's frame, with the weights
-    # from the actual times; the four youngest atoms keep the given start
+    # from the actual times; the four youngest atoms are interpolated
     state, theta = _cubic_history(times, n0=10)
     t_new = times[-1] + 0.005
-    start = np.full(10 + len(times), -1.0)
-    got = _atom_frame_start(state, t_new, start)
+    xp = np.linspace(0.0, 1.0, 10 + len(times) - 1)  # the old atoms
+    start = np.full(xp.size, -1.0)  # their theta: -1 at every new age
+    locs = np.linspace(0.0, 1.5, 10 + len(times))
+    got = _atom_frame_start(state, t_new, locs, xp, start)
     np.testing.assert_allclose(got[4:], theta(len(times), t_new)[4:],
                                rtol=1e-12)
     assert (got[:4] == -1.0).all() and (start == -1.0).all()
@@ -279,9 +286,101 @@ def test_atom_frame_start_extrapolates_cubics_exactly(times):
     ([0.0, 0.01, 0.0124, 0.03], 14),    # a gap below half the new step
 ])
 def test_atom_frame_start_falls_back_to_the_given_start(times, n_new):
+    # every age is interpolated from the knots
     state, _ = _cubic_history(times, n0=10)
-    start = np.full(n_new, -1.0)
-    assert _atom_frame_start(state, 0.04, start) is start
+    xp = np.linspace(0.0, 1.0, 13)
+    fp = np.random.default_rng(7).random(13)
+    locs = np.linspace(0.0, 1.5, n_new)
+    got = _atom_frame_start(state, 0.04, locs, xp, fp)
+    assert np.array_equal(got, np.interp(locs, xp, fp))
+
+
+def _full_interp_frame_start(state, t_new, start):
+    """The warm start as it was first written: ``start`` is np.interp of
+    the old theta at every new age, and the frame extrapolation overwrites
+    all but the four youngest entries."""
+    hist = ((state.t, state.pair.theta), *state.history)
+    n_new = start.size
+    if len(hist) < 4 or any(theta.size != n_new - 1 - k
+                            for k, (_, theta) in enumerate(hist)):
+        return start
+    ts = [t for t, _ in hist]
+    gaps = -np.diff([t_new, *ts])
+    if gaps.min() < 0.5 * gaps[0]:
+        return start
+    out = start.copy()
+    out[4:] = 0.0
+    for k, (tk, theta) in enumerate(hist):
+        weight = math.prod((t_new - tm) / (tk - tm)
+                           for m, tm in enumerate(ts) if m != k)
+        out[4:] += weight * theta[3 - k:]
+    return out
+
+
+def _full_interp_step(state, dt, *, merge_eps=1e-6, lambda_drift_budget=1e-3):
+    """Oracle: the step as it was first written, with array temporaries, a
+    concatenated newborn atom and a full-length np.interp warm start."""
+    def start_at(state, new_pi):
+        return _full_interp_frame_start(
+            state, state.t + dt,
+            np.interp(new_pi.locations, state.pi.locations, state.pair.theta))
+    return _oracle_step(state, dt, start_at, merge_eps=merge_eps,
+                        lambda_drift_budget=lambda_drift_budget, history=True)
+
+
+def _state_bits(s):
+    """Every number of a state, as bytes: equal bits give equal bytes."""
+    arrays = [s.pi.locations, s.pi.masses,
+              np.array([s.t, s.lam, s.phi, s.lambda_drift, s.speed_budget])]
+    if s.pair is not None:
+        arrays += [s.pair.theta,
+                   np.array([s.pair.residual, s.pair.iterations])]
+    for t, theta in s.history:
+        arrays += [np.array([t]), theta]
+    return b"|".join(a.tobytes() for a in arrays)
+
+
+def _stepped_bits(pi0, t_max, opts, step_fn, monkeypatch):
+    """The solve of pi0 by ``step_fn``, and the bits of every state it
+    stepped to, history included."""
+    bits = []
+
+    def recording(*args, **kw):
+        out = step_fn(*args, **kw)
+        bits.append(_state_bits(out))
+        return out
+    monkeypatch.setattr(af.evolution, "step", recording)
+    traj = af.solve(pi0, t_max, opts)
+    monkeypatch.undo()
+    return traj, bits
+
+
+@pytest.mark.parametrize("pi0, t_max, opts", [
+    (af.fixed_point_measure(2000, 40.0), 1.0, EvolveOptions(dt=1e-3)),
+    (af.dirac(0.0), 1.5, EvolveOptions(dt=1e-3)),
+    (af.two_atom(0.5), 1.0, EvolveOptions(dt=1e-3)),
+    # a merge in every step: every warm start falls back to np.interp
+    (small_fixed_point(), 1.0,
+     EvolveOptions(dt=1e-2, merge_eps=1e-2, checkpoints=[0.0, 0.5, 1.0])),
+    # the three steps after the short step to an off-grid checkpoint fall
+    # back: their windows hold a gap below half the step
+    (af.two_atom(0.5), 0.5,
+     EvolveOptions(dt=1e-3, checkpoints=[0.2505, 0.5])),
+], ids=["fp2000", "dirac0", "two_atom", "merging", "off_grid"])
+def test_step_keeps_the_bits_of_the_full_interp_step(pi0, t_max, opts,
+                                                     monkeypatch):
+    # interpolating only the entries the warm start keeps, and the in-place
+    # arithmetic of the step, change no bit of any state along the solve
+    traj, bits = _stepped_bits(pi0, t_max, opts, af.step, monkeypatch)
+    ref, ref_bits = _stepped_bits(pi0, t_max, opts, _full_interp_step,
+                                  monkeypatch)
+    assert len(bits) == len(ref_bits) >= 100
+    assert bits == ref_bits
+    assert traj.t_gel == ref.t_gel
+    assert len(traj.states) == len(ref.states)
+    for got, want in zip(traj.states, ref.states):
+        assert (got.t, got.mode) == (want.t, want.mode)
+        assert _state_bits(got) == _state_bits(want)
 
 
 # ---------------------------------------------------------------------------

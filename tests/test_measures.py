@@ -6,6 +6,7 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate, optimize
 
 import agefire as af
@@ -172,6 +173,93 @@ def test_constructor_canonical_form_matches_sorting_oracle():
     assert (m.locations.tolist(), m.masses.tolist()) == ([1.0, 3.0], [0.75, 0.25])
 
 
+def _as_layout(values, layout):
+    """(the array or list handed to the constructor, a function that
+    overwrites the caller's memory behind it) for one input layout."""
+    base = np.array(values, dtype=float)
+    if layout == "contiguous":
+        arr = base
+    elif layout == "strided":
+        arr = np.repeat(base, 2)[::2]
+    elif layout == "reversed":
+        arr = base[::-1].copy()[::-1]
+    elif layout == "read_only":
+        arr = base.view()
+        arr.flags.writeable = False
+    elif layout == "float32":
+        arr = base.astype(np.float32)
+    elif layout == "list":
+        arr = list(values)
+    elif layout == "2d":
+        arr = base.reshape(-1, 1)
+    if layout == "list":
+        return arr, lambda: arr.__setitem__(slice(None), [-1.0] * len(arr))
+    if layout == "read_only":
+        return arr, lambda: base.fill(-1.0)
+    return arr, lambda: arr.fill(-1.0)
+
+
+def _list_values(arr):
+    """The Python floats an input holds, as the constructor reads them."""
+    return np.asarray(arr, dtype=float).ravel().tolist()
+
+
+LAYOUTS = st.sampled_from(["contiguous", "strided", "reversed", "read_only",
+                           "float32", "list", "2d"])
+AGES = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+                 st.floats(0.0, 1e6, allow_nan=False))
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(atoms=st.lists(st.tuples(AGES, st.sampled_from([0.0, 0.25, 1.0]) |
+                                st.floats(0.0, 1e3, allow_nan=False)),
+                      max_size=12),
+       canonical=st.booleans(), loc_layout=LAYOUTS, mass_layout=LAYOUTS)
+def test_constructor_reads_every_input_layout_as_a_list(atoms, canonical,
+                                                        loc_layout,
+                                                        mass_layout):
+    # the fast path for 1-D float64 arrays gives the bits of the list path,
+    # and the measure never shares memory with its input
+    if canonical:  # strictly increasing ages, positive masses
+        atoms = sorted({x: m + 1.0 for x, m in atoms}.items())
+    locs, overwrite_locs = _as_layout([x for x, _ in atoms], loc_layout)
+    mass, overwrite_mass = _as_layout([m for _, m in atoms], mass_layout)
+    m = af.AgeMeasure(locs, mass)
+    want = af.AgeMeasure(_list_values(locs), _list_values(mass))
+    for got, ref in ((m.locations, want.locations), (m.masses, want.masses)):
+        assert got.dtype == np.float64 and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+    overwrite_locs()
+    overwrite_mass()
+    assert m.locations.tobytes() == want.locations.tobytes()
+    assert m.masses.tobytes() == want.masses.tobytes()
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(n=st.integers(1, 8), where=st.sampled_from(["first", "interior",
+                                                  "last"]),
+       bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+       in_masses=st.booleans(), layout=LAYOUTS)
+def test_constructor_rejects_a_non_finite_entry_of_sorted_input(
+        n, where, bad, in_masses, layout):
+    # a NaN fails the strict increase test; an infinite end fails the
+    # finite check of the extremes read at the two ends
+    locs, mass = np.arange(1.0, n + 1.0), np.full(n, 0.5)
+    i = {"first": 0, "interior": n // 2, "last": n - 1}[where]
+    (mass if in_masses else locs)[i] = bad
+    locs, _ = _as_layout(locs.tolist(), layout)
+    mass, _ = _as_layout(mass.tolist(), layout)
+    with pytest.raises(af.InputError, match="finite"):
+        af.AgeMeasure(locs, mass)
+
+
+def test_constructor_reads_a_0d_value_as_one_atom():
+    for loc, mass in ((np.array(2.0), np.array(0.5)),
+                      (np.float64(2.0), np.float32(0.5)), (2.0, 0.5)):
+        m = af.AgeMeasure(loc, mass)
+        assert (m.locations.tolist(), m.masses.tolist()) == ([2.0], [0.5])
+
+
 # ---------------------------------------------------------------------------
 # presets
 # ---------------------------------------------------------------------------
@@ -203,6 +291,18 @@ def test_preset_parameter_validation():
     for count in (af.measures.MAX_ATOMS + 1, 10 ** 10, int(1e300)):
         with pytest.raises(af.InputError, match="1,000,000"):
             af.fixed_point_measure(count)
+
+
+def test_fixed_point_atom_count_must_be_an_integer():
+    # a float, even an integral one, or a string is one InputError, not a
+    # TypeError from deep inside numpy
+    for count in (10.0, 2.5, np.float64(10.0), "10", None, math.nan):
+        with pytest.raises(af.InputError, match="integer atom count"):
+            af.fixed_point_measure(count)
+    want = af.fixed_point_measure(10)
+    for count in (np.int64(10), np.int32(10)):
+        got = af.fixed_point_measure(count)
+        assert got.locations.tobytes() == want.locations.tobytes()
 
 
 def sech2_half_density(x: float) -> float:

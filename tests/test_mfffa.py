@@ -890,9 +890,19 @@ def test_tail_phi_trivial_histograms():
     assert vals.size == 1
     assert abs(vals[0] - math.pi / 2.0) < 1e-12  # whole mass counted at m = 1
     assert af.tail_phi_spread({1: 900, 10: 10}, m_min=1, m_cap=1) == 0.0
-    for bad in ({"m_min": math.nan}, {"m_min": 0}, {"m_cap": math.nan}):
+    # a fractional m_min would evaluate at m = 1.5, 2.5, ...; a fractional
+    # m_cap would count m = 8 under a cap of 7.5
+    for bad in ({"m_min": math.nan}, {"m_min": 0}, {"m_cap": math.nan},
+                {"m_min": 1.5}, {"m_min": 2.0}, {"m_min": "2"},
+                {"m_cap": 7.5}, {"m_cap": 8.0}, {"m_cap": np.float64(8.0)},
+                {"m_cap": math.inf}):
         with pytest.raises(af.InputError, match=next(iter(bad))):
             af.tail_phi_values({1: 900, 10: 10}, **bad)
+        for estimator in (af.tail_phi_estimate, af.tail_phi_spread):
+            with pytest.raises(af.InputError, match=next(iter(bad))):
+                estimator({1: 900, 10: 10}, **bad)
+    assert af.tail_phi_values({1: 900, 10: 10}, m_min=np.int64(1),
+                              m_cap=np.int64(1)).tolist() == vals.tolist()
 
 
 def test_burn_rate_estimator_no_lightning():
