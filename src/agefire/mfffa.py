@@ -26,7 +26,9 @@ their edges in time order.
 The initial graph may be sampled as an age-driven inhomogeneous random
 graph: conditional on the ages, each pair (v, w) is connected independently
 with probability 1 - exp(-min(a(v), a(w)) / n), the family of laws that the
-fire dynamics preserve.
+fire dynamics preserve.  Its edges are joined at time 0 by the same block
+merge as the edge events of the dynamics, so one code path builds every
+component.
 
 Checkpoints emit the empirical age measure (n atoms of mass 1/n), the
 cluster-size histogram, and cumulative burn counters; those feed the
@@ -38,6 +40,7 @@ statistic (pi/2) * (sqrt(m) * sum_{k >= m} v_k)^2).
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from pathlib import Path
@@ -85,18 +88,23 @@ def sample_irg(ages, n: int | None = None, seed=None,
                method: str = "sorted") -> FireGraph:
     """Sample the age-driven inhomogeneous random graph.
 
-    ``ages`` is an array of length n, or a scalar broadcast to n.  Pair
+    ``ages`` is a 1-D array of length n, or a scalar broadcast to n.  Pair
     (i, j) is connected with probability 1 - exp(-min(a_i, a_j) / n),
     independently.  The sampler sorts the vertices by age; in sorted order
     the edge probability from vertex i to every later vertex is constant,
     so binomial degrees plus uniform targets draw the edges in
-    O(n log n + edges) array work (:func:`_sorted_irg_edges`), and
-    :func:`_partition` turns them into components.  ``method`` accepts
-    only ``"sorted"``.
+    O(n log n + edges) array work (:func:`_sorted_irg_edges`).  The graph
+    starts as n singletons, and :func:`_apply_events` joins the edges in
+    segments of ``_BLOCK``, as :func:`run` joins a block's edge events;
+    merging draws nothing.  ``method`` accepts only ``"sorted"``.
     """
     ages_arr = np.asarray(ages, dtype=float)
-    if n is not None and not float(n).is_integer():
+    if n is not None and (isinstance(n, bool) or not isinstance(n, numbers.Real)
+                          or not float(n).is_integer()):
         raise InputError(f"n must be an integer, got {n!r}")
+    if ages_arr.ndim > 1:
+        raise InputError(f"ages must be a scalar or a 1-D array, "
+                         f"got shape {ages_arr.shape}")
     if ages_arr.ndim == 0:
         if n is None:
             raise InputError("scalar ages need an explicit n")
@@ -113,9 +121,17 @@ def sample_irg(ages, n: int | None = None, seed=None,
 
     rng = np.random.default_rng(seed)
     u, v = _sorted_irg_edges(ages_arr, rng)
-    root, succ, size = _partition(n, u, v)
-    return FireGraph(n=n, last_burn=-ages_arr, root=root, succ=succ,
-                     size=size, edge_count=u.size, t=0.0, rng=rng)
+    singletons = np.arange(n)
+    graph = FireGraph(n=n, last_burn=-ages_arr, root=_int64_buffer(singletons),
+                      succ=_int64_buffer(singletons),
+                      size=_int64_buffer(np.ones(n, np.int64)),
+                      edge_count=u.size, t=0.0, rng=rng)
+    # join-only segments: with no strike, the times are never read
+    joins, times = np.ones(_BLOCK, bool), np.zeros(_BLOCK)
+    for k in range(0, u.size, _BLOCK):
+        m = min(_BLOCK, u.size - k)
+        _apply_events(graph, joins[:m], u[k:k + m], v[k:k + m], times[:m])
+    return graph
 
 
 def _sorted_irg_edges(ages: np.ndarray, rng: np.random.Generator):
@@ -153,34 +169,6 @@ def _sorted_irg_edges(ages: np.ndarray, rng: np.random.Generator):
         offset[dup] = rng.integers(span[dup])
 
 
-def _partition(n: int, u: np.ndarray, v: np.ndarray):
-    """``root``, ``succ`` and ``size`` (see :class:`FireGraph`) of the
-    components of the graph with edges (u[k], v[k]), each a tree of depth
-    at most one under its smallest vertex.
-
-    :func:`_min_labels` labels each component by its smallest vertex.
-    Then a stable argsort by label lists each component in increasing
-    vertex order, its label first; each vertex's successor is the next one
-    in its group, and the last closes the cycle on the label.  No Python
-    object is built per vertex, and each temporary is freed once used.
-    """
-    label = _min_labels(n, u, v)
-    root = _int64_buffer(label)
-    size = _int64_buffer(np.bincount(label, minlength=n))
-    order = np.argsort(label, kind="stable")
-    label = label[order]                      # the label at each position
-    nxt = np.empty(n, np.int64)
-    nxt[:-1] = order[1:]
-    ends = np.flatnonzero(label[1:] != label[:-1])
-    nxt[ends] = label[ends]                   # a group's last closes on its label
-    nxt[-1] = label[-1]
-    del label, ends
-    succ = np.empty(n, np.int64)
-    succ[order] = nxt
-    del order, nxt
-    return root, _int64_buffer(succ), size
-
-
 def _min_labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """The smallest vertex of each vertex's component in the graph on
     ``range(n)`` with edges (u[k], v[k]).
@@ -214,11 +202,24 @@ def _int64_buffer(values: np.ndarray) -> memoryview:
     return memoryview(bytearray(np.ascontiguousarray(values, dtype=np.int64))).cast("q")
 
 
+def _check_vertex(graph: FireGraph, v) -> None:
+    """An InputError unless v is an integer in [0, n): a negative index
+    would wrap around to another vertex."""
+    try:
+        inside = 0 <= operator.index(v) < graph.n
+    except TypeError:
+        inside = False
+    if not inside:
+        raise InputError(f"vertex {v!r} is not an integer in [0, {graph.n})")
+
+
 def add_edge(graph: FireGraph, i: int, j: int) -> None:
     """Join the components of i and j.  Each end is found with path
     halving, the root of the smaller tree is hung under the other one
     (union by size), and swapping the two roots' successors splices the
-    cycles into one."""
+    cycles into one.  A vertex outside [0, n) is an InputError."""
+    _check_vertex(graph, i)
+    _check_vertex(graph, j)
     root, succ, size = graph.root, graph.succ, graph.size
     a, b = i, j
     while root[a] != a:
@@ -240,7 +241,9 @@ def strike(graph: FireGraph, v: int) -> int:
     singletons (all its edges are gone) and their ages reset to zero.
     One walk along ``succ`` from v lists the component; ``root``,
     ``succ``, ``size`` and ``last_burn`` of its vertices are then reset by
-    numpy writes.  Returns the component size."""
+    numpy writes.  Returns the component size.  A vertex outside [0, n)
+    is an InputError."""
+    _check_vertex(graph, v)
     succ = graph.succ
     comp = [v]
     u = succ[v]

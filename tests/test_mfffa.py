@@ -3,7 +3,6 @@
 import hashlib
 import math
 import tracemalloc
-from types import SimpleNamespace
 
 import itertools
 
@@ -13,7 +12,7 @@ from scipy import stats
 
 import agefire as af
 from agefire.evolution import checkpoint_times
-from agefire.mfffa import (FireGraph, SimRecord, _int64_buffer, _partition,
+from agefire.mfffa import (_BLOCK, FireGraph, SimRecord, _int64_buffer,
                            _sorted_irg_edges, _vertex_pairs)
 
 
@@ -154,6 +153,12 @@ def test_irg_input_validation():
         af.sample_irg([1.0, float("nan")])
     with pytest.raises(af.InputError):
         af.sample_irg(float("inf"), n=5)
+    # 2-D ages, even with a matching n; an n that is not a number
+    for ages, n in ((np.ones((2, 3)), None), (5 * np.ones((2, 3)), 6),
+                    (1.0, "3"), (1.0, True), ([1.0], True)):
+        with pytest.raises(af.InputError):
+            af.sample_irg(ages, n=n)
+    assert af.sample_irg(1.0, n=np.int64(3)).n == af.sample_irg(1.0, n=3.0).n == 3
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +190,21 @@ def test_strike_resets_component_and_clears_edges():
     hist_before[size] -= 1
     hist_before[1] = hist_before.get(1, 0) + size
     assert hist_after == {k: c for k, c in hist_before.items() if c}
+
+
+@pytest.mark.parametrize("v", [-1, 5, 7, 1.0, "1", None])
+def test_vertices_outside_the_graph_are_input_errors(v):
+    # -1 would wrap to vertex 4 in add_edge and never end the walk of strike
+    g = af.sample_irg(0.0, n=5, seed=0)
+    af.add_edge(g, 0, 1)
+    state = (g.root.tolist(), g.succ.tolist(), g.size.tolist(),
+             g.last_burn.tolist())
+    for call in (lambda: af.strike(g, v), lambda: af.add_edge(g, 0, v),
+                 lambda: af.add_edge(g, v, 0)):
+        with pytest.raises(af.InputError, match="vertex"):
+            call()
+    assert state == (g.root.tolist(), g.succ.tolist(), g.size.tolist(),
+                     g.last_burn.tolist())
 
 
 def test_cluster_sizes_edge_cases():
@@ -352,15 +372,14 @@ def test_irg_sorted_partition_equals_add_edge(scale):
         assert len({(min(e), max(e)) for e in zip(u.tolist(), v.tolist())}) == u.size
         assert _partition_sets(g) == _partition_sets(_add_edge_partition(n, u, v))
         assert_partition(g)
-        # each label is its component's smallest vertex
-        assert all(m[0] == r == min(m) for r, m in components(g).items())
 
 
-def test_partition_of_arbitrary_edge_lists():
-    # min-label hooking on graphs the sampler never draws: long paths and
-    # cycles in shuffled label order, stars and duplicate edges
+def test_partition_of_arbitrary_edge_lists(monkeypatch):
+    # sample_irg's segment merges on graphs the sampler never draws: long
+    # paths and cycles in shuffled order, whose later segments join the
+    # components that earlier ones built, stars and duplicate edges
     rng = np.random.default_rng(5)
-    n = 400
+    n = 2 * _BLOCK + 452
     perm = rng.permutation(n)
     cases = [(perm[:-1], perm[1:]),                   # one shuffled path
              (perm, np.roll(perm, 1)),                 # one shuffled cycle
@@ -371,11 +390,23 @@ def test_partition_of_arbitrary_edge_lists():
         m = int(rng.integers(0, 2 * n))
         cases.append((rng.integers(n, size=m), rng.integers(n, size=m)))
     for u, v in cases:
-        root, succ, size = _partition(n, u, v)
-        g = SimpleNamespace(n=n, root=root, succ=succ, size=size)
+        monkeypatch.setattr(af.mfffa, "_sorted_irg_edges", lambda ages, rng: (u, v))
+        g = af.sample_irg(1.0, n=n, seed=0)
+        assert g.edge_count == u.size
         assert_partition(g)
         assert _partition_sets(g) == _partition_sets(_add_edge_partition(n, u, v))
-        assert all(r == min(m) for r, m in components(g).items())
+
+
+def test_irg_merging_draws_nothing():
+    # the edges span several segments, and joining them leaves the
+    # generator where drawing them left it
+    ages = np.random.default_rng(9).exponential(4.0, size=5000)
+    rng = np.random.default_rng(4)
+    u, _ = _sorted_irg_edges(ages, rng)
+    assert u.size > 3 * _BLOCK
+    g = af.sample_irg(ages, seed=4)
+    assert g.edge_count == u.size
+    assert g.rng.bit_generator.state == rng.bit_generator.state
 
 
 # ---------------------------------------------------------------------------
@@ -686,6 +717,8 @@ def test_run_events_pick_uniform_vertices(n, monkeypatch):
     # an edge event joins one of the n (n - 1) ordered pairs of distinct
     # vertices, a strike one of the n vertices, each uniformly; read from
     # the kinds and vertex pairs that run hands to _apply_events
+    # sampled before the spy, which would also see the sampler's merges
+    g = af.sample_irg(0.0, n=n, seed=6)
     pairs, struck = [], []
     apply_events = af.mfffa._apply_events
 
@@ -696,7 +729,6 @@ def test_run_events_pick_uniform_vertices(n, monkeypatch):
 
     monkeypatch.setattr(af.mfffa, "_apply_events", spy)
     t_max = 6000.0 / (n - 1)  # 3000 edge events expected
-    g = af.sample_irg(0.0, n=n, seed=6)
     record = af.run(g, 1.0, t_max, [t_max])[0]
     assert (record.edge_events, record.burn_events) == (len(pairs), len(struck))
     counts = {pq: 0 for pq in itertools.permutations(range(n), 2)}
