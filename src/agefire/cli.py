@@ -131,7 +131,7 @@ def _guard(path: Path, action, *args):
         return action(path, *args)
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror or exc}") from None
-    except (ValueError, IndexError) as exc:
+    except ValueError as exc:
         msg = str(exc)
         raise InputError(msg if msg.startswith(str(path)) else f"{path}: {msg}") from None
 
@@ -247,47 +247,42 @@ def cmd_simulate(args) -> int:
     out = _open_out(config)
     for seed, records in zip(seeds, all_records):
         mfffa.write_sim_outputs(records, out / f"seed_{seed}")
-    # aggregate medians across seeds per checkpoint
-    rows = ["t,burned_cum_median,largest_cluster_median,phi_hat_window_median"]
-    for recs in zip(*all_records):
-        rows.append(",".join([
-            f"{recs[0].t:.12g}",
-            f"{statistics.median(r.burned_vertices for r in recs):g}",
-            f"{statistics.median(r.largest_cluster for r in recs):g}",
-            f"{statistics.median(r.phi_hat_window for r in recs):.8g}"]))
-    (out / "aggregate.csv").write_text("\n".join(rows) + "\n")
+
+    def medians(field):  # across the seeds, at each checkpoint
+        return [statistics.median(getattr(r, field) for r in recs)
+                for recs in zip(*all_records)]
+    ms.write_csv(out / "aggregate.csv", (
+        ("t", ev._T_FORMAT, [r.t for r in all_records[0]]),
+        ("burned_cum_median", "g", medians("burned_vertices")),
+        ("largest_cluster_median", "g", medians("largest_cluster")),
+        ("phi_hat_window_median", ".8g", medians("phi_hat_window"))))
     print(f"wrote {len(seeds)} record sets to {out}")
     return 0
 
 
 def _read_column(path: Path, column: str) -> dict[str, tuple[float, float]]:
-    """{snapshot name: (t, ``column``)} over the rows of a CSV file whose
-    first column is the time t."""
-    rows = path.read_text().strip().splitlines()
-    if len(rows) < 2:
-        raise ValueError("no data rows")
-    header = rows[0].split(",")
-    if column not in header:
-        raise ValueError(f"no column {column!r}")
-    idx = header.index(column)
-    cells = [r.split(",") for r in rows[1:]]
-    return {ev.snapshot_filename(float(c[0])): (float(c[0]), float(c[idx])) for c in cells}
+    """{snapshot name: (t, ``column``)} over the rows of a CSV file with a
+    time column ``t``."""
+    columns = _guard(path, ms.read_csv, ("t", column))
+    if not columns["t"]:
+        raise InputError(f"{path}: no data rows")
+    return {ev.snapshot_filename(t): (t, x)
+            for t, x in zip(columns["t"], columns[column])}
 
 
 def cmd_compare(args) -> int:
     config = _load_config("compare", args)
     traj_dir, sim_dir = Path(config["traj_dir"]), Path(config["sim_dir"])
-    phi_pde = _guard(traj_dir / "trajectory.csv", _read_column, "phi")
+    phi_pde = _read_column(traj_dir / "trajectory.csv", "phi")
     seed_dirs = sorted(sim_dir.glob("seed_*")) or [sim_dir]
-    phi_sims = [_guard(sd / "sim.csv", _read_column, "phi_hat_window")
-                for sd in seed_dirs]
+    phi_sims = [_read_column(sd / "sim.csv", "phi_hat_window") for sd in seed_dirs]
     # a trajectory row and a sim row are one checkpoint when they share a
     # snapshot name
     matches = [(name, t) for name, (t, _) in phi_sims[0].items()
                if name in phi_pde]
     if not matches:
         raise InputError("no common checkpoint times between trajectory and sim")
-    rows = ["t,w1_empirical_vs_pde,phi_hat,phi_pde"]
+    w1_medians, phi_medians = [], []
     for name, t in matches:
         pde_snap = _guard(traj_dir / name, ms.AgeMeasure.from_csv)
         w1s, phis = [], []
@@ -297,10 +292,14 @@ def cmd_compare(args) -> int:
             emp = _guard(sd / name, ms.AgeMeasure.from_csv)
             w1s.append(ms.w1(emp, pde_snap))
             phis.append(phi_sim[name][1])
-        rows.append(f"{t:.12g},{statistics.median(w1s):.8g},"
-                    f"{statistics.median(phis):.8g},{phi_pde[name][1]:.8g}")
+        w1_medians.append(statistics.median(w1s))
+        phi_medians.append(statistics.median(phis))
     out = _open_out(config)
-    (out / "comparison.csv").write_text("\n".join(rows) + "\n")
+    ms.write_csv(out / "comparison.csv", (
+        ("t", ev._T_FORMAT, [t for _, t in matches]),
+        ("w1_empirical_vs_pde", ".8g", w1_medians),
+        ("phi_hat", ".8g", phi_medians),
+        ("phi_pde", ".8g", [phi_pde[name][1] for name, _ in matches])))
     print(f"compared {len(matches)} checkpoints "
           f"across {len(seed_dirs)} replica(s); wrote {out / 'comparison.csv'}")
     return 0

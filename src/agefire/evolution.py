@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import AccuracyError, InputError, SupercriticalError
 from .measures import (AgeMeasure, ProbabilityAgeMeasure, fixed_point_measure,
-                       merge_atoms, mixture, w1)
+                       merge_atoms, mixture, w1, write_csv)
 from .spectral import (SpectralPair, leading_eigenvalue, leading_pair,
                        phi_of_pair)
 
@@ -527,15 +527,16 @@ def lyapunov_experiment(pi0: ProbabilityAgeMeasure, t_max: float,
 # Trajectory output
 # ---------------------------------------------------------------------------
 
-TRAJECTORY_HEADER = "t,lambda,phi,mean_age,atom_count,w1_to_fixed_point,mass_defect"
+#: format spec of the ``t`` column of every CSV file that holds one
+_T_FORMAT = ".12g"
 
 
 def checkpoint_tag(t: float) -> str:
     """The ``t<t>`` tag of the files written at time t: t to six decimals,
-    rounded from its ``.12g`` text, which is what the ``t`` column of a
-    CSV row holds.  So a reader that holds only the row names the file
-    that the writer wrote."""
-    return f"t{float(f'{t:.12g}'):.6f}"
+    rounded from its ``_T_FORMAT`` (``.12g``) text, which is what the ``t``
+    column of a CSV row holds.  So a reader that holds only the row names
+    the file that the writer wrote."""
+    return f"t{float(format(t, _T_FORMAT)):.6f}"
 
 
 def snapshot_filename(t: float) -> str:
@@ -589,11 +590,13 @@ def write_trajectory(traj: Trajectory, out_dir,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ref = reference if reference is not None else fixed_point_measure()
-    rows = [TRAJECTORY_HEADER]
+    write_csv(out / "trajectory.csv", (
+        ("t", _T_FORMAT, [s.t for s in traj.states]),
+        ("lambda", ".17g", [s.lam for s in traj.states]),
+        ("phi", ".17g", [s.phi for s in traj.states]),
+        ("mean_age", ".17g", [s.pi.first_moment() for s in traj.states]),
+        ("atom_count", "d", [s.atom_count for s in traj.states]),
+        ("w1_to_fixed_point", ".17g", [w1(s.pi, ref) for s in traj.states]),
+        ("mass_defect", ".17g", [s.mass_defect for s in traj.states])))
     for s in traj.states:
-        rows.append(",".join([
-            f"{s.t:.12g}", f"{s.lam:.17g}", f"{s.phi:.17g}",
-            f"{s.pi.first_moment():.17g}", str(s.atom_count),
-            f"{w1(s.pi, ref):.17g}", f"{s.mass_defect:.17g}"]))
         s.pi.to_csv(out / snapshot_filename(s.t))
-    (out / "trajectory.csv").write_text("\n".join(rows) + "\n")

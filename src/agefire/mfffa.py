@@ -49,8 +49,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError
-from .evolution import checkpoint_tag, checkpoint_times, snapshot_filename
-from .measures import ProbabilityAgeMeasure
+from .evolution import _T_FORMAT, checkpoint_tag, checkpoint_times, snapshot_filename
+from .measures import ProbabilityAgeMeasure, _floats, write_csv
 
 
 @dataclass(eq=False)
@@ -98,7 +98,7 @@ def sample_irg(ages, n: int | None = None, seed=None,
     segments of ``_BLOCK``, as :func:`run` joins a block's edge events;
     merging draws nothing.  ``method`` accepts only ``"sorted"``.
     """
-    ages_arr = np.asarray(ages, dtype=float)
+    ages_arr = _floats(ages, "ages")
     if n is not None and (isinstance(n, bool) or not isinstance(n, numbers.Real)
                           or not float(n).is_integer()):
         raise InputError(f"n must be an integer, got {n!r}")
@@ -429,11 +429,7 @@ def _apply_events(graph: FireGraph, joins, first, second, times) -> int:
         r = up
     root[ends] = r
     # compact ids: the k-th distinct root has id k
-    order = np.argsort(r)
-    new = _run_heads(r[order])
-    ids = np.empty(r.size, np.intp)
-    ids[order] = np.cumsum(new) - 1
-    roots = r[order][new]
+    roots, ids = np.unique(r, return_inverse=True)
     group = _min_labels(roots.size, ids[:m], ids[m:2 * m])
     struck = np.zeros(roots.size, bool)
     struck[group[ids[2 * m:]]] = True
@@ -537,7 +533,10 @@ def burn_rate_estimate(records: Sequence[SimRecord],
     Cumulative burn counts are interpolated linearly between records when
     the window ends fall between checkpoints.
     """
-    t0, t1 = float(window[0]), float(window[1])
+    window = _floats(window, "window")
+    if window.shape != (2,):
+        raise InputError("the estimation window must be a pair (t0, t1)")
+    t0, t1 = window.tolist()
     if math.isnan(t0) or math.isnan(t1):
         raise InputError("estimation window ends must be numbers")
     if t1 <= t0:
@@ -556,20 +555,20 @@ def burn_rate_estimate(records: Sequence[SimRecord],
 # Output files
 # ---------------------------------------------------------------------------
 
-SIM_HEADER = ("t,burned_cum,largest_cluster,n_clusters,phi_hat_window,"
-              "edge_events")
-
-
 def write_sim_outputs(records: Sequence[SimRecord], out_dir) -> None:
     """sim.csv plus per-checkpoint age snapshots and cluster histograms."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rows = [SIM_HEADER]
+    write_csv(out / "sim.csv", (
+        ("t", _T_FORMAT, [r.t for r in records]),
+        ("burned_cum", "d", [r.burned_vertices for r in records]),
+        ("largest_cluster", "d", [r.largest_cluster for r in records]),
+        ("n_clusters", "d", [r.n_clusters for r in records]),
+        ("phi_hat_window", ".17g", [r.phi_hat_window for r in records]),
+        ("edge_events", "d", [r.edge_events for r in records])))
     for r in records:
-        rows.append(f"{r.t:.12g},{r.burned_vertices},{r.largest_cluster},"
-                    f"{r.n_clusters},{r.phi_hat_window:.17g},{r.edge_events}")
         r.age_measure.to_csv(out / snapshot_filename(r.t))
-        hist_rows = ["size,count"] + [f"{k},{r.cluster_hist[k]}"
-                                      for k in sorted(r.cluster_hist)]
-        (out / f"clusters_{checkpoint_tag(r.t)}.csv").write_text("\n".join(hist_rows) + "\n")
-    (out / "sim.csv").write_text("\n".join(rows) + "\n")
+        sizes = sorted(r.cluster_hist)
+        write_csv(out / f"clusters_{checkpoint_tag(r.t)}.csv", (
+            ("size", "d", sizes),
+            ("count", "d", [r.cluster_hist[k] for k in sizes])))

@@ -38,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateOperatorError, InputError, IterationLimitError
-from .measures import AgeMeasure
+from .measures import AgeMeasure, _floats, write_csv
 
 #: the power loop stops, after at least two sweeps, when the symmetric
 #: residual is at most this fraction of the eigenvalue (or 40 sweeps have
@@ -183,7 +183,7 @@ def leading_pair(measure: AgeMeasure, *,
     if start is None:  # all-ones theta in symmetrized coordinates is d
         v = _squared_start(xs, d) if xp.size <= SQUARED_START_ATOMS else d.copy()
     else:
-        s = np.asarray(start, dtype=float)
+        s = _floats(start, "start")
         if s.shape != measure.locations.shape:
             raise InputError("start vector must align with the atoms")
         if not np.isfinite(s).all():
@@ -259,7 +259,7 @@ def theta_at(pair: SpectralPair, s):
     theta(s) = lam^{-1} * sum_j (x_j ^ s) theta_j w_j: concave, nondecreasing,
     piecewise linear with kinks at the atoms, and theta(0) = 0.
     """
-    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
+    s_arr = np.atleast_1d(_floats(s, "s"))
     if not (np.isfinite(s_arr) & (s_arr >= 0)).all():
         raise InputError("theta is defined on finite ages >= 0")
     x = pair.source.locations
@@ -312,7 +312,7 @@ def theta_to_pi(lam: float, kinks: Sequence[tuple[float, float]]) -> AgeMeasure:
     """
     if lam <= 0:
         raise InputError("lam must be positive")
-    ks = np.asarray(kinks, dtype=float)
+    ks = _floats(kinks, "kinks")
     if ks.ndim != 2 or ks.shape[1] != 2 or ks.shape[0] == 0:
         raise InputError("kinks must be a nonempty list of (x, theta(x)) pairs")
     x, th = ks[:, 0], ks[:, 1]
@@ -410,10 +410,9 @@ def explicit_theta_bound(measure: AgeMeasure, C: float) -> float:
 
 
 def spectral_csv(pair: SpectralPair, path) -> None:
-    """Diagnostic dump: ``location,mass,theta`` rows for each atom."""
-    from pathlib import Path
+    """Diagnostic dump: ``location,mass,theta`` rows for each atom, with 17
+    significant digits."""
     src = pair.source
-    lines = ["location,mass,theta"]
-    lines += [f"{x:.17g},{m:.17g},{t:.17g}"
-              for x, m, t in zip(src.locations, src.masses, pair.theta)]
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_csv(path, (("location", ".17g", src.locations),
+                     ("mass", ".17g", src.masses),
+                     ("theta", ".17g", pair.theta)))

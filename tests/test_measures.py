@@ -253,6 +253,31 @@ def test_constructor_rejects_a_non_finite_entry_of_sorted_input(
         af.AgeMeasure(locs, mass)
 
 
+_M = af.fixed_point_measure(50, 30.0)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: af.AgeMeasure(["x"], [1.0]), "locations"),
+    (lambda: af.AgeMeasure([1.0], [[1.0], [2.0, 3.0]]), "masses"),
+    (lambda: af.AgeMeasure([10 ** 400], [1.0]), "locations"),
+    (lambda: af.sample_irg("abc", n=3), "ages"),
+    (lambda: af.sample_irg([[1.0], [2.0, 3.0]], n=3), "ages"),
+    (lambda: af.leading_pair(_M, start=["a"] * _M.n_atoms), "start"),
+    (lambda: af.theta_at(af.leading_pair(_M), "x"), "s"),
+    (lambda: af.theta_to_pi(1.0, [("a", 1)]), "kinks"),
+    (lambda: af.burn_rate_estimate(
+        af.run(af.sample_irg(1.0, n=10, seed=0), 0.1, 1.0, [0.5, 1.0]),
+        (0.0,)), "window"),
+], ids=["measure-text", "measure-ragged", "measure-huge-int", "irg-text",
+        "irg-ragged", "start-text", "theta-at-text", "kinks-text",
+        "window-one-end"])
+def test_non_numeric_or_ragged_arrays_are_input_errors(call, name):
+    with pytest.raises(af.InputError) as err:
+        call()
+    message = str(err.value)
+    assert "\n" not in message and name in message
+
+
 def test_constructor_reads_a_0d_value_as_one_atom():
     for loc, mass in ((np.array(2.0), np.array(0.5)),
                       (np.float64(2.0), np.float32(0.5)), (2.0, 0.5)):
